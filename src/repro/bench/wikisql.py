@@ -129,7 +129,7 @@ class WikiSQLGenerator:
                         synonyms=table.schema.synonyms,
                     )
                 )
-                clone.rows.extend(table.rows)
+                clone.insert_many(table.rows)
         return combined
 
     # -- example construction -------------------------------------------------------

@@ -125,9 +125,16 @@ class ColumnData:
     '' / False) at NULL positions; ``null`` is the validity complement.
     ``pylist`` holds the *original* Python objects in row order — every
     value the engine outputs comes from here, never from the array.
+
+    Every fact derived from the data — the kind itself, a text array's
+    ``U`` width, ``has_nan``, and ``int_sum_safe`` through ``abs_max`` —
+    is monotone in the rows, which is what lets :func:`_concat` merge the
+    images of two consecutive row ranges.
     """
 
-    __slots__ = ("kind", "values", "null", "pylist", "has_nan", "int_sum_safe", "_float_view")
+    __slots__ = (
+        "kind", "values", "null", "pylist", "has_nan", "abs_max", "int_sum_safe", "_float_view"
+    )
 
     def __init__(self, kind: str, values: Any, null: Any, pylist: List[Any]):
         self.kind = kind
@@ -135,6 +142,8 @@ class ColumnData:
         self.null = null
         self.pylist = pylist
         self.has_nan = False
+        #: largest ``|value|`` of an ``int`` column (NULL fills count as 0)
+        self.abs_max = 0
         self.int_sum_safe = False
         self._float_view: Any = None
 
@@ -149,6 +158,7 @@ class ColumnData:
 
 
 def _build_column(values: List[Any], dtype: DataType) -> ColumnData:
+    """Convert one column's values (row order, NULL as ``None``)."""
     n = len(values)
     null = np.fromiter((v is None for v in values), dtype=np.bool_, count=n)
     if dtype is DataType.INTEGER:
@@ -160,10 +170,8 @@ def _build_column(values: List[Any], dtype: DataType) -> ColumnData:
             return ColumnData("other", None, null, values)
         col = ColumnData("int", arr, null, values)
         if n:
-            extreme = max(abs(int(arr.max())), abs(int(arr.min())))
-            col.int_sum_safe = extreme * n <= _INT_SUM_LIMIT
-        else:
-            col.int_sum_safe = True
+            col.abs_max = max(abs(int(arr.max())), abs(int(arr.min())))
+        col.int_sum_safe = col.abs_max * n <= _INT_SUM_LIMIT
         return col
     if dtype is DataType.FLOAT:
         arr = np.fromiter(
@@ -205,27 +213,64 @@ def _build_column(values: List[Any], dtype: DataType) -> ColumnData:
     return ColumnData("other", None, null, values)  # pragma: no cover
 
 
+def _concat(head: ColumnData, tail: ColumnData) -> ColumnData:
+    """The image of ``head``'s rows followed by ``tail``'s — exactly what
+    :func:`_build_column` returns for both value lists at once.
+
+    The merge rule never revisits ``head``'s values: a part demoted to
+    ``other`` demotes the whole column, NumPy's concatenation widens a
+    ``U`` array to the wider part, NaN presence is an OR and the integer
+    bound a max.  Only the facts that also depend on the total row count
+    (the text character budget, ``int_sum_safe``) are recomputed.
+    """
+    null = np.concatenate((head.null, tail.null))
+    pylist = head.pylist + tail.pylist
+    if "other" in (head.kind, tail.kind):
+        return ColumnData("other", None, null, pylist)
+    values = np.concatenate((head.values, tail.values))
+    n = len(pylist)
+    if head.kind == "text" and values.itemsize // 4 * n > _TEXT_CHARS_LIMIT:
+        return ColumnData("other", None, null, pylist)
+    col = ColumnData(head.kind, values, null, pylist)
+    col.has_nan = head.has_nan or tail.has_nan
+    if col.kind == "int":
+        col.abs_max = max(head.abs_max, tail.abs_max)
+        col.int_sum_safe = col.abs_max * n <= _INT_SUM_LIMIT
+    return col
+
+
 class ColumnStore:
-    """Columnar image of one table, cached on the table keyed by its
-    ``version`` (see :meth:`repro.sqldb.table.Table.column_store`)."""
+    """Columnar image of one table's row prefix ``rows[:n_rows]``.
 
-    __slots__ = ("version", "n_rows", "cols", "column_names")
+    Immutable once built: :meth:`extended` returns a new store covering
+    a longer prefix and leaves this one — and any scan still reading it —
+    untouched.  :meth:`repro.sqldb.table.Table.column_store` publishes
+    the current one.
+    """
 
-    def __init__(self, version: int, n_rows: int, cols: List[ColumnData], names: List[str]):
-        self.version = version
+    __slots__ = ("n_rows", "cols", "column_names")
+
+    def __init__(self, n_rows: int, cols: List[ColumnData], names: List[str]):
         self.n_rows = n_rows
         self.cols = cols
         self.column_names = names
 
     @classmethod
-    def build(cls, table: Any) -> "ColumnStore":
+    def empty(cls, schema: Any) -> "ColumnStore":
+        """The image of no rows, which every store is extended from."""
         if np is None:  # pragma: no cover - numpy is baked into the image
             raise RuntimeError("numpy is required for the columnar store")
-        schema = table.schema
-        cols: List[ColumnData] = []
-        for column in schema.columns:
-            cols.append(_build_column(table.column_values(column.name), column.dtype))
-        return cls(table.version, len(table.rows), cols, list(schema.column_names))
+        cols = [_build_column([], column.dtype) for column in schema.columns]
+        return cls(0, cols, list(schema.column_names))
+
+    def extended(self, schema: Any, tail: Sequence[Tuple[Any, ...]]) -> "ColumnStore":
+        """The image of this store's rows followed by the ``tail`` rows;
+        only the tail is converted."""
+        cols = [
+            _concat(col, _build_column([row[j] for row in tail], column.dtype))
+            for j, (col, column) in enumerate(zip(self.cols, schema.columns))
+        ]
+        return ColumnStore(self.n_rows + len(tail), cols, self.column_names)
 
     def supported_kinds(self) -> Dict[str, str]:
         """Column name → storage kind (observability / tests)."""

@@ -94,6 +94,8 @@ from .relation import Relation
 from .schema import TableSchema
 from .types import hash_key, sort_key, values_compare, values_equal
 
+from ..perf.cache import LRUCache
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .analyzer import AnalysisResult
     from .columnar import ColumnarEngine
@@ -177,38 +179,6 @@ def _like_to_regex(pattern: str) -> "re.Pattern[str]":
     return re.compile("^" + "".join(out) + "$", re.IGNORECASE)
 
 
-class _LRUCache:
-    """Tiny ordered-dict LRU used for the parsed-statement cache."""
-
-    __slots__ = ("maxsize", "_data")
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._data: "OrderedDict[Any, Any]" = OrderedDict()
-
-    def get(self, key: Any) -> Any:
-        try:
-            value = self._data.pop(key)
-        except KeyError:
-            return None
-        self._data[key] = value
-        return value
-
-    def put(self, key: Any, value: Any) -> None:
-        if self.maxsize <= 0:
-            return
-        self._data.pop(key, None)
-        self._data[key] = value
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-
 class Executor:
     """Evaluates SELECT statements against one database.
 
@@ -264,7 +234,7 @@ class Executor:
         self._planner = Planner(database, infer=infer)
         self._analyzer = None
         self._columnar = None
-        self._statement_cache = _LRUCache(statement_cache_size)
+        self._statement_cache = LRUCache(statement_cache_size)
         #: per-row window values while projecting a windowed block; a
         #: WindowFunction reached by ``_eval`` outside such a projection
         #: has no value and raises :class:`MisplacedWindowError`.

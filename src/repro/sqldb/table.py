@@ -4,17 +4,28 @@ Rows are stored as plain tuples in declaration order; the schema drives
 coercion and nullability checks at insert time so the executor can assume
 well-typed data.
 
-Each table also maintains *lazy secondary hash indexes*: per-column maps
-from canonical value (see :func:`repro.sqldb.types.hash_key`) to the row
-positions holding that value.  The planner uses them to answer equality
-and ``IN`` predicates without a full scan.  Indexes are built on first
-use and invalidated by a monotonically increasing ``version`` counter
-bumped on every insert, so they can never serve stale lookups.
+Tables are append-only: :meth:`Table.insert` and :meth:`Table.insert_many`
+are the only writers of ``rows``, and there is no UPDATE or DELETE.  So
+every derived structure is an image of a row *prefix* ``rows[:n]``, and
+brings itself up to date by absorbing ``rows[n:]`` — the appended rows
+only, never a rebuild:
+
+- *secondary hash indexes* (:meth:`Table.secondary_index`): per-column
+  maps from canonical value (see :func:`repro.sqldb.types.hash_key`) to
+  the row positions holding that value, which the planner uses to answer
+  equality and ``IN`` predicates without a full scan;
+- the *column store* (:meth:`Table.column_store`), the columnar
+  engine's NumPy image of the rows.
+
+Both are created on first use (as the extension of an empty image) and
+extended under a per-table lock, so concurrent readers never double or
+lose an appended row.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Sequence, Tuple
+import threading
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import SchemaError, TypeMismatchError
 from .schema import TableSchema
@@ -30,13 +41,15 @@ class Table:
     def __init__(self, schema: TableSchema):
         self.schema = schema
         self.rows: List[Tuple[Any, ...]] = []
-        #: bumped on every insert; secondary indexes built against an older
-        #: version are rebuilt transparently on next use.
+        #: bumped on every insert; caches keyed on the database's
+        #: ``data_version`` use it to notice writes.
         self.version: int = 0
+        #: column → (n, index over ``rows[:n]``); see :meth:`secondary_index`
         self._indexes: Dict[str, Tuple[int, Dict[Any, List[int]]]] = {}
-        #: lazily built columnar image of the rows, keyed by ``version``
-        #: (see :meth:`column_store`); ``None`` until first requested.
-        self._column_store: Any = None
+        #: the latest published column store; ``None`` until first requested
+        self._column_store: Optional["ColumnStore"] = None
+        #: serializes extensions of the indexes and the column store
+        self._lock = threading.Lock()
 
     @property
     def name(self) -> str:
@@ -86,10 +99,10 @@ class Table:
         """Bulk insert of positional rows; returns the number inserted.
 
         All rows are coerced and validated *before* any is stored, so a
-        bad row leaves the table untouched (all-or-nothing), and
-        ``version`` is bumped exactly once for the whole batch — callers
-        loading millions of rows pay one index/column-store invalidation
-        instead of one per row.
+        bad row leaves the table untouched (all-or-nothing), and the batch
+        is appended in one step with one ``version`` bump.  The next
+        index lookup or columnar scan absorbs the whole batch at once,
+        converting only its rows.
         """
         cols = self.schema.columns
         n_cols = len(cols)
@@ -118,44 +131,41 @@ class Table:
 
     def secondary_index(self, column: str) -> Dict[Any, List[int]]:
         """Hash index over one column: canonical value → ascending row
-        positions.
+        positions.  NULLs are not indexed (they match no equality
+        predicate).
 
-        Built lazily on first request and rebuilt automatically whenever
-        ``version`` shows rows were inserted since the build.  NULLs are
-        not indexed (they match no equality predicate).
+        The index covers a prefix ``rows[:n]``; each call first appends
+        the positions of ``rows[n:]`` in place, so the work is
+        proportional to the rows inserted since the last call.
         """
         key = self.schema.column(column).name.lower()
-        cached = self._indexes.get(key)
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
         idx = self.schema.column_index(column)
-        mapping: Dict[Any, List[int]] = {}
-        for pos, row in enumerate(self.rows):
-            value = row[idx]
-            if value is None:
-                continue
-            mapping.setdefault(hash_key(value), []).append(pos)
-        self._indexes[key] = (self.version, mapping)
+        with self._lock:
+            covered, mapping = self._indexes.get(key, (0, {}))
+            rows = self.rows
+            n = len(rows)
+            for pos in range(covered, n):
+                value = rows[pos][idx]
+                if value is not None:
+                    mapping.setdefault(hash_key(value), []).append(pos)
+            self._indexes[key] = (n, mapping)
         return mapping
-
-    def invalidate_indexes(self) -> None:
-        """Drop all cached secondary indexes (they rebuild on next use)."""
-        self._indexes.clear()
 
     def column_store(self) -> "ColumnStore":
         """The table's columnar image (:class:`repro.sqldb.columnar.ColumnStore`).
 
-        Built lazily on first request and rebuilt whenever ``version``
-        shows inserts since the build, exactly like secondary indexes —
-        so vectorized scans can never read stale data.
+        When rows were appended since the current store was published,
+        publishes a new store extended by exactly those rows (see
+        :meth:`ColumnStore.extended`); stores are immutable, so a scan
+        still reading an older one is unaffected.
         """
         from .columnar import ColumnStore
 
-        cached = self._column_store
-        if cached is not None and cached.version == self.version:
-            return cached
-        store = ColumnStore.build(self)
-        self._column_store = store
+        with self._lock:
+            store = self._column_store or ColumnStore.empty(self.schema)
+            if store.n_rows < len(self.rows):
+                store = store.extended(self.schema, self.rows[store.n_rows :])
+            self._column_store = store
         return store
 
     def column_values(self, column: str) -> List[Any]:

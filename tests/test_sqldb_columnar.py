@@ -11,13 +11,21 @@ Three layers of assurance, mirroring how the row path earned trust:
 3. **Unit tests** — chunk partitioning, the fork pool, ColumnStore
    layout/invalidation, scan statistics, EXPLAIN surface, fallback
    reasons, and bulk inserts.
+4. **Prefix extension** — secondary indexes and column stores absorb
+   appended rows instead of rebuilding: a differential property test
+   against one-shot builds, a guard that the work is proportional to
+   the append, and a concurrent reader/writer test.
 """
 
 from __future__ import annotations
 
 import datetime
+import math
 import random
 import sqlite3
+import sys
+import threading
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -32,7 +40,10 @@ from repro.sqldb import (
     SqlError,
     TableSchema,
 )
+from repro.sqldb import columnar
+from repro.sqldb import table as table_module
 from repro.sqldb.executor import Executor
+from repro.sqldb.types import hash_key
 
 from tests.test_sqldb_null_semantics import CORPUS as NULL_CORPUS
 from tests.test_sqldb_null_semantics import ROWS as NULL_ROWS
@@ -97,8 +108,9 @@ class TestDifferentialCorpora:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def null_engines():
+def _null_db_and_oracle():
+    """The NULL corpus's empty t(id, a, b, s) table in repro.sqldb and in
+    sqlite3."""
     db = Database("nulls-columnar")
     db.create_table(
         TableSchema(
@@ -111,9 +123,19 @@ def null_engines():
             ],
         )
     )
-    db.insert_many("t", [list(r) for r in NULL_ROWS])
     oracle = sqlite3.connect(":memory:")
     oracle.execute("CREATE TABLE t (id INTEGER, a INTEGER, b INTEGER, s TEXT)")
+    return db, oracle
+
+
+def _normalized(rows):
+    return sorted(tuple(_norm(v) for v in row) for row in rows)
+
+
+@pytest.fixture
+def null_engines():
+    db, oracle = _null_db_and_oracle()
+    db.insert_many("t", [list(r) for r in NULL_ROWS])
     oracle.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", NULL_ROWS)
     # Tiny chunks so even the 5-row table takes the partitioned route.
     yield Executor(db, use_columnar=True, scan_chunk_rows=2), oracle
@@ -123,12 +145,8 @@ def null_engines():
 @pytest.mark.parametrize("sql", NULL_CORPUS)
 def test_null_corpus_columnar_vs_sqlite(null_engines, sql):
     executor, oracle = null_engines
-    ours = sorted(
-        tuple(_norm(v) for v in row) for row in executor.execute_sql(sql).rows
-    )
-    theirs = sorted(
-        tuple(_norm(v) for v in row) for row in oracle.execute(sql).fetchall()
-    )
+    ours = _normalized(executor.execute_sql(sql).rows)
+    theirs = _normalized(oracle.execute(sql).fetchall())
     assert ours == theirs, f"columnar divergence from sqlite3 on: {sql}"
 
 
@@ -572,3 +590,343 @@ class TestInsertMany:
         with pytest.raises(SqlError):
             db.insert_many("t", [[1, 1], [2, 2], ["bogus", 3]])  # type error in row 3
         assert db.table("t").rows == []
+
+
+# ---------------------------------------------------------------------------
+# Prefix extension: indexes and column stores absorb appended rows
+# ---------------------------------------------------------------------------
+
+
+def _one_shot_index(table, column):
+    """Reference hash index over all current rows, built from scratch."""
+    j = table.schema.column_index(column)
+    mapping = {}
+    for pos, row in enumerate(table.rows):
+        if row[j] is not None:
+            mapping.setdefault(hash_key(row[j]), []).append(pos)
+    return mapping
+
+
+def _comparable_index(mapping):
+    """NaN keys are unique per ``hash_key`` call, so NaN entries compare
+    by their position lists only."""
+    plain = {key: positions for key, positions in mapping.items() if key[0] != "nan"}
+    nans = sorted(positions for key, positions in mapping.items() if key[0] == "nan")
+    return plain, nans
+
+
+def assert_structures_match_one_shot(table):
+    """The maintained column store equals a one-shot build of the same
+    rows field by field, and every maintained index equals a fresh one."""
+    store = table.column_store()
+    assert store.n_rows == len(table.rows)
+    assert store.column_names == list(table.schema.column_names)
+    for got, column in zip(store.cols, table.schema.columns):
+        want = columnar._build_column(table.column_values(column.name), column.dtype)
+        assert got.kind == want.kind, column.name
+        if want.values is None:
+            assert got.values is None, column.name
+        else:
+            assert got.values.dtype == want.values.dtype, column.name  # incl. U width
+            assert got.values.tobytes() == want.values.tobytes(), column.name
+        assert got.null.dtype == want.null.dtype
+        assert got.null.tolist() == want.null.tolist(), column.name
+        assert len(got.pylist) == len(want.pylist)
+        assert all(a is b for a, b in zip(got.pylist, want.pylist)), column.name
+        assert (got.has_nan, got.abs_max, got.int_sum_safe) == (
+            want.has_nan,
+            want.abs_max,
+            want.int_sum_safe,
+        ), column.name
+    for column in table.schema.column_names:
+        assert _comparable_index(table.secondary_index(column)) == _comparable_index(
+            _one_shot_index(table, column)
+        ), column
+
+
+_EXT_COLUMNS = [
+    Column("id", DataType.INTEGER, nullable=False),
+    Column("big", DataType.INTEGER),
+    Column("f", DataType.FLOAT),
+    Column("s", DataType.TEXT),
+    Column("b", DataType.BOOLEAN),
+    Column("d", DataType.DATE),
+    Column("nothing", DataType.INTEGER),
+    Column("blank", DataType.TEXT),
+]
+
+
+def _ext_table():
+    db = Database("ext")
+    return db.create_table(TableSchema("t", list(_EXT_COLUMNS)))
+
+
+def _store_columns(table):
+    """Column name → ColumnData of the table's current store."""
+    store = table.column_store()
+    return dict(zip(store.column_names, store.cols))
+
+
+def _nullable(strategy):
+    return st.one_of(st.none(), strategy)
+
+
+#: magnitudes around the int64 edge and the 2**62 sum-safety bound
+_EDGE_INTS = [2**61, -(2**61), 2**62, 2**63 - 1, -(2**63), 2**63, 2**70, -(2**70)]
+
+_ext_row = st.tuples(
+    st.integers(-5, 40),
+    _nullable(st.one_of(st.integers(-1000, 1000), st.sampled_from(_EDGE_INTS))),
+    _nullable(
+        st.one_of(
+            st.floats(-1e6, 1e6),
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+        )
+    ),
+    _nullable(
+        st.one_of(
+            st.text(max_size=8),
+            st.text(min_size=65, max_size=70),
+            st.sampled_from(["a\x00b", "tail\x00", "2024-02-29", ""]),
+        )
+    ),
+    _nullable(st.booleans()),
+    _nullable(st.dates()),
+    st.none(),
+    st.none(),
+)
+
+#: a row every all-or-nothing batch rejects (NULL in the NOT NULL id)
+_BAD_ROW = (None, 1, 1.0, "x", True, datetime.date(2024, 1, 1), None, None)
+
+_ext_write = st.one_of(
+    st.tuples(st.just("insert"), _ext_row),
+    st.tuples(st.just("insert_many"), st.lists(_ext_row, max_size=6)),
+    st.tuples(
+        st.just("reject"),
+        st.tuples(st.lists(_ext_row, max_size=3), st.lists(_ext_row, max_size=3)),
+    ),
+)
+
+#: one write, then which structures to bring up to date before the next
+_ext_step = st.tuples(_ext_write, st.sampled_from(["none", "store", "index", "both"]))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(steps=st.lists(_ext_step, max_size=16), chars_limit=st.sampled_from([None, 6]))
+def test_extension_matches_one_shot_build(steps, chars_limit):
+    """Any sequence of inserts, bulk inserts, empty and rejected batches,
+    with the structures extended at random points in between, leaves
+    them equal to a one-shot build.  ``chars_limit`` shrinks the text
+    character budget so a text column can outgrow it part-way through."""
+    with pytest.MonkeyPatch.context() as patch:
+        if chars_limit is not None:
+            patch.setattr(columnar, "_TEXT_CHARS_LIMIT", chars_limit)
+        table = _ext_table()
+        for (kind, arg), extend in steps:
+            if kind == "insert":
+                table.insert(arg)
+            elif kind == "insert_many":
+                assert table.insert_many(arg) == len(arg)
+            else:
+                before, version = list(table.rows), table.version
+                with pytest.raises(SqlError):
+                    table.insert_many(arg[0] + [_BAD_ROW] + arg[1])
+                assert table.rows == before and table.version == version
+            if extend in ("store", "both"):
+                table.column_store()
+            if extend in ("index", "both"):
+                for column in table.schema.column_names:
+                    table.secondary_index(column)
+        assert_structures_match_one_shot(table)
+
+
+def test_extension_covers_edge_values():
+    """The property's edge cases, pinned: the empty table, all-NULL
+    columns, INTEGER beyond int64 arriving late, text over 64 chars or
+    holding NUL arriving late, a late NaN, and int_sum_safe flipping as
+    the row count grows."""
+    table = _ext_table()
+    assert_structures_match_one_shot(table)
+    cols = _store_columns(table)
+    assert cols["nothing"].kind == "int" and cols["blank"].kind == "text"
+    base = (1, 2**61, 1.5, "abc", True, datetime.date(2024, 1, 1), None, None)
+    table.insert(base)
+    table.insert(base)
+    assert_structures_match_one_shot(table)
+    assert _store_columns(table)["big"].int_sum_safe  # 2 rows * 2**61 fits 2**62
+    table.insert(base)
+    assert not _store_columns(table)["big"].int_sum_safe
+    late = [
+        (2, 2**70, math.nan, "w" * 65, None, None, None, None),
+        (3, 5, 2.0, "a\x00b", False, datetime.date(1999, 12, 31), None, None),
+    ]
+    for row in late:
+        table.insert(row)
+        assert_structures_match_one_shot(table)
+    cols = _store_columns(table)
+    assert cols["big"].kind == "other" and cols["s"].kind == "other"
+    assert cols["f"].has_nan
+    assert cols["nothing"].null.all() and cols["blank"].null.all()
+
+
+def test_text_width_widens_with_later_rows():
+    table = _ext_table()
+    table.insert((1, None, None, "ab", None, None, None, None))
+    assert _store_columns(table)["s"].values.dtype == "U2"
+    table.insert_many([(2, None, None, None, None, None, None, None)])
+    table.insert_many([(3, None, None, "abcdefg", None, None, None, None)])
+    assert _store_columns(table)["s"].values.dtype == "U7"
+    assert_structures_match_one_shot(table)
+
+
+def test_text_budget_counts_all_rows(monkeypatch):
+    """Each part fits the character budget on its own; together they
+    exceed it, so the merged column demotes like a one-shot build."""
+    monkeypatch.setattr(columnar, "_TEXT_CHARS_LIMIT", 6)
+    table = _ext_table()
+    table.insert_many([(i, None, None, "abc", None, None, None, None) for i in range(2)])
+    assert _store_columns(table)["s"].kind == "text"
+    table.insert((2, None, None, "abc", None, None, None, None))
+    assert _store_columns(table)["s"].kind == "other"
+    assert_structures_match_one_shot(table)
+
+
+@pytest.mark.parametrize("sql", NULL_CORPUS)
+def test_null_corpus_after_interleaved_writes(sql):
+    """The NULL/3VL corpus against sqlite3 after every step of a write
+    sequence, so each read runs on indexes and stores extended by the
+    step's rows (single inserts, bulk batches, an empty batch)."""
+    db, oracle = _null_db_and_oracle()
+    engines = [
+        Executor(db, use_columnar=True, scan_chunk_rows=2),
+        Executor(db, use_columnar=False),
+    ]
+    steps = [NULL_ROWS[:1], [], NULL_ROWS[1:3], NULL_ROWS[3:4], NULL_ROWS[4:]]
+    try:
+        for step in steps:
+            if len(step) == 1:
+                db.insert("t", list(step[0]))
+            else:
+                db.insert_many("t", [list(r) for r in step])
+            oracle.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", step)
+            theirs = _normalized(oracle.execute(sql).fetchall())
+            for executor in engines:
+                ours = _normalized(executor.execute_sql(sql).rows)
+                assert ours == theirs, f"divergence from sqlite3 after {len(step)} rows: {sql}"
+    finally:
+        oracle.close()
+
+
+def test_extension_work_is_proportional_to_append(monkeypatch):
+    """After a k-row append to an n-row table, the next index lookup
+    hashes exactly k values and the next column store converts exactly
+    k rows per column; with nothing appended, neither does any work."""
+    n, k = 400, 9
+    table = _ext_table()
+    rows = [
+        (i, i * 3, i / 2, f"v{i}", i % 2 == 0, datetime.date(2024, 1, 1), None, None)
+        for i in range(n + k)
+    ]
+    table.insert_many(rows[:n])
+    table.secondary_index("id")
+    table.column_store()
+
+    hashed = []
+    converted = []
+    real_hash, real_build = table_module.hash_key, columnar._build_column
+
+    def counting_hash(value):
+        hashed.append(value)
+        return real_hash(value)
+
+    def counting_build(values, dtype):
+        converted.append(len(values))
+        return real_build(values, dtype)
+
+    monkeypatch.setattr(table_module, "hash_key", counting_hash)
+    monkeypatch.setattr(columnar, "_build_column", counting_build)
+    table.insert_many(rows[n:])
+    table.secondary_index("id")
+    table.column_store()
+    assert len(hashed) == k
+    assert converted == [k] * len(_EXT_COLUMNS)
+    table.secondary_index("id")
+    table.column_store()
+    assert len(hashed) == k
+    assert converted == [k] * len(_EXT_COLUMNS)
+    assert_structures_match_one_shot(table)
+
+
+def test_concurrent_readers_see_consistent_extensions():
+    """Eight readers extend the ``id`` index and the column store while
+    a writer appends batches.  No reader may see a doubled or lost
+    delta: every row that existed before the call is indexed exactly
+    once, and every store's arrays match its own ``n_rows``.  The final
+    structures (positions in range, none duplicated) equal a fresh
+    build."""
+    table = _ext_table()
+
+    def row(i):
+        return (i, i, float(i), f"r{i}", None, None, None, None)
+
+    table.insert_many([row(i) for i in range(200)])
+    stop = threading.Event()
+    failures = []
+
+    def reader():
+        try:
+            while not stop.is_set():
+                before = len(table.rows)
+                index = table.secondary_index("id")
+                store = table.column_store()
+                after = len(table.rows)
+                # Other readers may be extending ``index`` in place, so
+                # read it only through single dict operations; a row
+                # appended since ``before`` may be indexed or not yet.
+                for i in range(after):
+                    positions = index.get(hash_key(i))
+                    if i < before:
+                        assert positions == [i], "duplicated or lost position"
+                    else:
+                        assert positions in (None, [], [i]), "duplicated position"
+                assert before <= len(index) <= len(table.rows)
+                assert before <= store.n_rows <= len(table.rows)
+                for col in store.cols:
+                    assert len(col.null) == len(col.pylist) == store.n_rows
+                ids = store.cols[0].values
+                assert ids.tolist() == list(range(store.n_rows)), "doubled or lost store delta"
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+            stop.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=reader) for _ in range(8)]
+    try:
+        for thread in threads:
+            thread.start()
+        next_id = 200
+        for batch in range(60):
+            if batch % 3 == 0:
+                table.insert(row(next_id))
+                next_id += 1
+            else:
+                size = 1 + batch * 7 % 97
+                table.insert_many([row(i) for i in range(next_id, next_id + size)])
+                next_id += size
+            time.sleep(0.0005)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[0]
+    assert len(table.rows) == next_id
+    assert_structures_match_one_shot(table)
