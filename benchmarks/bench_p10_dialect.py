@@ -142,7 +142,7 @@ def _corpus_section() -> Dict[str, Dict[str, int]]:
     """parse/analyze/execute/oracle-match counts per construct family."""
     db, oracle = _build_db()
     row_ex = Executor(db, use_planner=True, use_columnar=False)
-    col_ex = Executor(db, use_planner=True, use_columnar=True, scan_chunk_rows=2)
+    col_ex = Executor(db, use_planner=True, use_columnar=True)
 
     families: Dict[str, Dict[str, int]] = {}
     for family, sql in CORPUS:

@@ -1,12 +1,11 @@
 """P6 — Vectorized columnar engine vs the row interpreter (perf PR).
 
 Runs the BRAD-style telemetry workload (:mod:`repro.bench.workload_gen`)
-over a million-row fact table and times every workload class on three
+over a million-row fact table and times every workload class on two
 configurations of the same :class:`~repro.sqldb.executor.Executor`:
 
 1. **row** — planner on, columnar off (the pre-P6 engine),
-2. **columnar** — vectorized kernels over the ColumnStore,
-3. **columnar + jobs** — the same scan fanned out over a fork pool.
+2. **columnar** — vectorized kernels over the ColumnStore.
 
 Parity is asserted for *every* generated query before anything is timed
 (type-tagged rows, so ``1`` vs ``1.0`` drift would fail).  Emits
@@ -62,7 +61,7 @@ def timeit(fn: Callable[[], object], repeat: int) -> float:
     return best
 
 
-def run(quick: bool = False, jobs: int = 4) -> Dict[str, object]:
+def run(quick: bool = False) -> Dict[str, object]:
     n_rows = 20_000 if quick else 1_000_000
     per_template = 2 if quick else 3
     repeat = 2
@@ -71,13 +70,11 @@ def run(quick: bool = False, jobs: int = 4) -> Dict[str, object]:
     queries = generate_telemetry_queries(n_rows, per_template, seed=SEED)
     row = Executor(db, use_columnar=False)
     col = Executor(db, use_columnar=True)
-    par = Executor(db, use_columnar=True, scan_jobs=jobs)
 
-    # Parity first: every generated query, all three configurations.
+    # Parity first: every generated query, both configurations.
     for q in queries:
         expected = _strict_rows(row.execute_sql(q.sql))
         assert _strict_rows(col.execute_sql(q.sql)) == expected, q.sql
-        assert _strict_rows(par.execute_sql(q.sql)) == expected, q.sql
 
     # The scan-heavy classes must actually take the vectorized path.
     for q in queries:
@@ -103,17 +100,8 @@ def run(quick: bool = False, jobs: int = 4) -> Dict[str, object]:
             "speedup": row_s / col_s,
         }
 
-    # Partitioned parallel scan on the heaviest class.
-    scan_sqls = by_class["scan_agg"]
-    par_s = timeit(lambda: [par.execute_sql(s) for s in scan_sqls], repeat)
-    parallel = {
-        "jobs": jobs,
-        "scan_agg_serial_s": classes["scan_agg"]["columnar_s"],
-        "scan_agg_parallel_s": par_s,
-        "partitions": par.last_stats.partitions_scanned,
-    }
-
     # Per-kernel stage profile of one representative vectorized scan.
+    scan_sqls = by_class["scan_agg"]
     profiler = StageProfiler()
     with profiler.activate():
         col.execute_sql(scan_sqls[0])
@@ -128,7 +116,6 @@ def run(quick: bool = False, jobs: int = 4) -> Dict[str, object]:
         "queries_per_template": per_template,
         "classes": classes,
         "scan_heavy_min_speedup": floor,
-        "parallel": parallel,
         "profile_stages": profile,
     }
 
@@ -159,7 +146,7 @@ def run(quick: bool = False, jobs: int = 4) -> Dict[str, object]:
 
 def test_p6_columnar(benchmark):
     """pytest-benchmark entry: run once, time one vectorized scan."""
-    run(quick=True, jobs=2)
+    run(quick=True)
     db = build_telemetry_db(n_rows=20_000, seed=SEED)
     executor = Executor(db)
     sql = generate_telemetry_queries(20_000, 1, seed=SEED)[1].sql  # scan_agg
@@ -172,12 +159,8 @@ def main(argv: List[str] | None = None) -> int:
         "--quick", action="store_true",
         help="small scale for CI smoke runs (relaxed speedup floor)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=4,
-        help="worker processes for the partitioned-scan measurement",
-    )
     args = parser.parse_args(argv)
-    results = run(quick=args.quick, jobs=args.jobs)
+    results = run(quick=args.quick)
     print(
         f"\nscan-heavy min speedup {results['scan_heavy_min_speedup']:.1f}x "
         f"at {results['scale_rows']} rows"

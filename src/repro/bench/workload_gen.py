@@ -113,8 +113,8 @@ def telemetry_schema() -> TableSchema:
         "telemetry",
         [
             # The generator always fills these six, so they are declared
-            # NOT NULL — the static inference pass proves range filters
-            # over them two-valued and skips the Kleene mask kernels.
+            # NOT NULL — the static inference pass drops IS NOT NULL
+            # tests on them as always true.
             Column("id", DataType.INTEGER, primary_key=True, nullable=False),
             Column("device_id", DataType.INTEGER, nullable=False),
             Column("event_type", DataType.INTEGER, nullable=False),

@@ -89,7 +89,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
         database,
         use_planner=not args.no_planner,
         use_columnar=not args.no_columnar,
-        scan_jobs=args.scan_jobs,
         infer=not args.no_infer,
     )
     if args.explain:
@@ -443,16 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the vectorized columnar scan path",
     )
     sql.add_argument(
-        "--scan-jobs",
-        type=int,
-        default=0,
-        help="worker processes for partitioned columnar scans (0 = serial)",
-    )
-    sql.add_argument(
         "--no-infer",
         action="store_true",
-        help="disable the static inference pass (predicate simplification, "
-        "two-valued kernels)",
+        help="disable the static inference pass (constant folding, predicate "
+        "simplification, provably-empty short-circuits)",
     )
     sql.add_argument(
         "--lint",

@@ -1,7 +1,7 @@
 """Performance layer: shared caches, per-stage profiling, parallel eval.
 
-``cache``, ``profiler`` and ``partition`` are dependency-free leaves
-imported eagerly — the NLP, pipeline and SQL layers use them directly.  ``parallel`` sits on
+``cache`` and ``profiler`` are dependency-free leaves imported eagerly —
+the NLP, pipeline and SQL layers use them directly.  ``parallel`` sits on
 *top* of the bench harness (which imports core, which imports nlp, which
 imports :mod:`repro.perf.cache`), so importing it here eagerly would
 create a cycle; its symbols resolve lazily via module ``__getattr__``.
@@ -23,7 +23,6 @@ from .cache import (
     reset_cache_stats,
     stats_for,
 )
-from .partition import DEFAULT_CHUNK_ROWS, chunk_spans, run_partitioned
 from .profiler import (
     STAGE_ORDER,
     StageProfiler,
@@ -52,9 +51,6 @@ __all__ = [
     "normalize_question",
     "reset_cache_stats",
     "stats_for",
-    "DEFAULT_CHUNK_ROWS",
-    "chunk_spans",
-    "run_partitioned",
     "STAGE_ORDER",
     "StageProfiler",
     "StageStat",

@@ -5,7 +5,7 @@ one row at a time over Python tuples; at survey scale (§6's latency
 discussion) that costs microseconds per row and makes million-row
 analytics queries take seconds.  This module adds a columnar mirror of
 each table — one NumPy array per column plus a validity (NULL) bitmap —
-and compiles eligible WHERE clauses into **Kleene three-valued masks**
+and compiles eligible WHERE clauses into **three-valued mask kernels**
 evaluated array-at-a-time.
 
 Design rules, in priority order:
@@ -30,16 +30,16 @@ Design rules, in priority order:
      at compile time and the query **falls back** to the row path, which
      then produces the canonical behaviour (including errors).
 
-2. **Three-valued logic as int8 arrays.**  FALSE=0, UNKNOWN=1, TRUE=2;
-   Kleene AND is ``minimum``, OR is ``maximum``, NOT is ``2 - x``, and
-   the final WHERE keep-mask is ``mask == TRUE`` — exactly the
+2. **Three-valued logic as a pair of bool masks.**  Every kernel returns
+   disjoint ``(true, unknown)`` arrays (FALSE is neither), and
+   ``unknown`` is ``None`` when none of the columns it reads holds a NULL
+   in the current store — so NOT NULL and NULL-free predicates cost
+   plain bool ops.  The WHERE keep-mask is ``true`` itself — exactly the
    executor's ``_truthy``.
 
-3. **Partitioned scans.**  Masks are computed per fixed-size row chunk
-   (:func:`repro.perf.partition.chunk_spans`); chunks are embarrassingly
-   parallel and can be fanned out over a fork-based process pool
-   (:func:`repro.perf.partition.run_partitioned`) with a deterministic
-   concatenation, so parallelism never changes results.
+3. **Fixed serial steps.**  Masks are computed over consecutive
+   ``_CHUNK_ROWS``-row spans, which keeps each step's temporaries small
+   enough to stay in cache.
 
 Known fallback triggers (documented in ``docs/architecture.md``): joins,
 subqueries, index-eligible scans, NaN-containing float columns under
@@ -73,7 +73,6 @@ from .ast import (
     Star,
     UnaryOp,
     WindowFunction,
-    split_conjuncts,
 )
 from .errors import (
     AggregateArityError,
@@ -85,11 +84,13 @@ from .errors import (
 from .functions import AGGREGATE_FUNCTIONS, call_scalar
 from .types import DataType, iso_date_or_none, values_compare, values_equal
 
-from ..perf.partition import DEFAULT_CHUNK_ROWS, chunk_spans, run_partitioned
+from ..perf.cache import LRUCache
 from ..perf.profiler import active_profiler
 
-#: Kleene truth codes; AND = minimum, OR = maximum, NOT = 2 - x.
-FALSE3, UNKNOWN3, TRUE3 = 0, 1, 2
+#: Rows per predicate-evaluation step.  One whole-table pass is slower
+#: at a million rows (``scan_agg`` 5.9 → 6.9 ms on a 2-vCPU VM): its
+#: temporaries no longer fit in cache.
+_CHUNK_ROWS = 131_072
 
 #: Widest fixed-width unicode column we will materialize (per string),
 #: and a cap on the whole array's character budget so a single huge
@@ -125,27 +126,39 @@ class ColumnData:
     '' / False) at NULL positions; ``null`` is the validity complement.
     ``pylist`` holds the *original* Python objects in row order — every
     value the engine outputs comes from here, never from the array.
+    Both arrays are read-only: stores are shared by concurrent scans and
+    kernels hand out views of them.
 
     Every fact derived from the data — the kind itself, a text array's
-    ``U`` width, ``has_nan``, and ``int_sum_safe`` through ``abs_max`` —
-    is monotone in the rows, which is what lets :func:`_concat` merge the
-    images of two consecutive row ranges.
+    ``U`` width, ``has_null``, ``has_nan``, and ``int_sum_safe`` through
+    ``abs_max`` — is monotone in the rows, which is what lets
+    :func:`_concat` merge the images of two consecutive row ranges.
     """
 
     __slots__ = (
-        "kind", "values", "null", "pylist", "has_nan", "abs_max", "int_sum_safe", "_float_view"
+        "kind", "values", "null", "pylist", "has_null", "has_nan", "abs_max", "int_sum_safe",
+        "_float_view",
     )
 
-    def __init__(self, kind: str, values: Any, null: Any, pylist: List[Any]):
+    def __init__(self, kind: str, values: Any, null: Any, pylist: List[Any], has_null: bool):
+        if values is not None:
+            values.flags.writeable = False
+        null.flags.writeable = False
         self.kind = kind
         self.values = values
         self.null = null
         self.pylist = pylist
+        self.has_null = has_null
         self.has_nan = False
         #: largest ``|value|`` of an ``int`` column (NULL fills count as 0)
         self.abs_max = 0
         self.int_sum_safe = False
         self._float_view: Any = None
+
+    def nulls(self, lo: int, hi: int) -> Any:
+        """The NULL bitmap over ``[lo, hi)``, or ``None`` when the column
+        holds no NULL at all."""
+        return self.null[lo:hi] if self.has_null else None
 
     def as_float(self) -> Any:
         """The value array in the float64 domain the row path compares
@@ -153,7 +166,9 @@ class ColumnData:
         if self.kind == "float":
             return self.values
         if self._float_view is None:
-            self._float_view = self.values.astype(np.float64)
+            view = self.values.astype(np.float64)
+            view.flags.writeable = False
+            self._float_view = view
         return self._float_view
 
 
@@ -161,14 +176,15 @@ def _build_column(values: List[Any], dtype: DataType) -> ColumnData:
     """Convert one column's values (row order, NULL as ``None``)."""
     n = len(values)
     null = np.fromiter((v is None for v in values), dtype=np.bool_, count=n)
+    has_null = bool(null.any())
     if dtype is DataType.INTEGER:
         try:
             arr = np.fromiter(
                 (0 if v is None else v for v in values), dtype=np.int64, count=n
             )
         except (OverflowError, TypeError):
-            return ColumnData("other", None, null, values)
-        col = ColumnData("int", arr, null, values)
+            return ColumnData("other", None, null, values, has_null)
+        col = ColumnData("int", arr, null, values, has_null)
         if n:
             col.abs_max = max(abs(int(arr.max())), abs(int(arr.min())))
         col.int_sum_safe = col.abs_max * n <= _INT_SUM_LIMIT
@@ -177,19 +193,19 @@ def _build_column(values: List[Any], dtype: DataType) -> ColumnData:
         arr = np.fromiter(
             (0.0 if v is None else v for v in values), dtype=np.float64, count=n
         )
-        col = ColumnData("float", arr, null, values)
+        col = ColumnData("float", arr, null, values, has_null)
         col.has_nan = bool(np.isnan(arr).any())
         return col
     if dtype is DataType.BOOLEAN:
         arr = np.fromiter(
             (False if v is None else v for v in values), dtype=np.bool_, count=n
         )
-        return ColumnData("bool", arr, null, values)
+        return ColumnData("bool", arr, null, values, has_null)
     if dtype is DataType.DATE:
         arr = np.fromiter(
             (0 if v is None else v.toordinal() for v in values), dtype=np.int64, count=n
         )
-        return ColumnData("date", arr, null, values)
+        return ColumnData("date", arr, null, values, has_null)
     if dtype is DataType.TEXT:
         width = 1
         for v in values:
@@ -200,17 +216,17 @@ def _build_column(values: List[Any], dtype: DataType) -> ColumnData:
             if width > _TEXT_WIDTH_LIMIT or "\x00" in v:
                 # NumPy 'U' arrays strip trailing NULs and wide columns
                 # blow the memory budget; keep such columns row-only.
-                return ColumnData("other", None, null, values)
+                return ColumnData("other", None, null, values, has_null)
         if width * n > _TEXT_CHARS_LIMIT:
-            return ColumnData("other", None, null, values)
+            return ColumnData("other", None, null, values, has_null)
         try:
             arr = np.array(
                 ["" if v is None else v for v in values], dtype=f"U{width}"
             )
         except Exception:
-            return ColumnData("other", None, null, values)
-        return ColumnData("text", arr, null, values)
-    return ColumnData("other", None, null, values)  # pragma: no cover
+            return ColumnData("other", None, null, values, has_null)
+        return ColumnData("text", arr, null, values, has_null)
+    return ColumnData("other", None, null, values, has_null)  # pragma: no cover
 
 
 def _concat(head: ColumnData, tail: ColumnData) -> ColumnData:
@@ -219,19 +235,20 @@ def _concat(head: ColumnData, tail: ColumnData) -> ColumnData:
 
     The merge rule never revisits ``head``'s values: a part demoted to
     ``other`` demotes the whole column, NumPy's concatenation widens a
-    ``U`` array to the wider part, NaN presence is an OR and the integer
-    bound a max.  Only the facts that also depend on the total row count
+    ``U`` array to the wider part, NULL and NaN presence are ORs and the
+    integer bound a max.  Only the facts that also depend on the total row count
     (the text character budget, ``int_sum_safe``) are recomputed.
     """
     null = np.concatenate((head.null, tail.null))
     pylist = head.pylist + tail.pylist
+    has_null = head.has_null or tail.has_null
     if "other" in (head.kind, tail.kind):
-        return ColumnData("other", None, null, pylist)
+        return ColumnData("other", None, null, pylist, has_null)
     values = np.concatenate((head.values, tail.values))
     n = len(pylist)
     if head.kind == "text" and values.itemsize // 4 * n > _TEXT_CHARS_LIMIT:
-        return ColumnData("other", None, null, pylist)
-    col = ColumnData(head.kind, values, null, pylist)
+        return ColumnData("other", None, null, pylist, has_null)
+    col = ColumnData(head.kind, values, null, pylist, has_null)
     col.has_nan = head.has_nan or tail.has_nan
     if col.kind == "int":
         col.abs_max = max(head.abs_max, tail.abs_max)
@@ -287,47 +304,76 @@ class ColumnStore:
 
 
 # ---------------------------------------------------------------------------
-# Compiled predicate kernels (picklable: shipped to partition workers)
+# Compiled predicate kernels
 # ---------------------------------------------------------------------------
 
-
-def _blank(n: int, code: int) -> Any:
-    return np.full(n, code, dtype=np.int8)
-
-
-class _Const:
-    """A literal in boolean position: the row path's ``_bool3(value)``."""
-
-    __slots__ = ("code",)
-
-    def __init__(self, code: int):
-        self.code = code
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return _blank(hi - lo, self.code)
+#: A kernel's verdict over ``[lo, hi)``: two disjoint bool arrays
+#: ``(true, unknown)``; FALSE is neither.  ``unknown`` is ``None`` when no
+#: row can be UNKNOWN, so NULL-free predicates cost plain bool ops.
+Mask = Tuple[Any, Optional[Any]]
 
 
-class _FixedNonNull:
+class _Kernel:
+    """A compiled WHERE (sub)expression.  Kernels never write into the
+    arrays they are given or return: outputs may be views of the store."""
+
+    __slots__ = ()
+
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:  # pragma: no cover
+        raise NotImplementedError
+
+
+def _nulls(store: ColumnStore, js: Sequence[int], lo: int, hi: int) -> Any:
+    """Rows of ``[lo, hi)`` where any column of ``js`` is NULL, or ``None``
+    when none of them holds a NULL anywhere in the store."""
+    out = None
+    for j in js:
+        null = store.cols[j].nulls(lo, hi)
+        if null is not None:
+            out = null if out is None else out | null
+    return out
+
+
+def _masked(truth: Any, unknown: Any) -> Mask:
+    """The verdict of a value test whose ``truth`` array is meaningless at
+    the ``unknown`` rows (NULL slots hold fill values)."""
+    if unknown is None:
+        return truth, None
+    return truth & ~unknown, unknown
+
+
+class _Const(_Kernel):
+    """A literal in boolean position: the row path's ``_bool3(value)``,
+    with ``None`` for UNKNOWN."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Optional[bool]):
+        self.value = value
+
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
+        if self.value is None:
+            return np.zeros(hi - lo, dtype=np.bool_), np.ones(hi - lo, dtype=np.bool_)
+        return np.full(hi - lo, self.value, dtype=np.bool_), None
+
+
+class _FixedNonNull(_Kernel):
     """Comparison whose verdict is constant for every non-NULL row
     (cross-family comparisons: ``values_equal`` says False, ordering says
     incomparable) but UNKNOWN where any referenced column is NULL."""
 
-    __slots__ = ("js", "code")
+    __slots__ = ("js", "verdict")
 
-    def __init__(self, js: Sequence[int], code: int):
+    def __init__(self, js: Sequence[int], verdict: bool):
         self.js = tuple(js)
-        self.code = code
+        self.verdict = verdict
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        out = _blank(hi - lo, self.code)
-        null = store.cols[self.js[0]].null[lo:hi]
-        for j in self.js[1:]:
-            null = null | store.cols[j].null[lo:hi]
-        out[null] = UNKNOWN3
-        return out
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
+        truth = np.full(hi - lo, self.verdict, dtype=np.bool_)
+        return _masked(truth, _nulls(store, self.js, lo, hi))
 
 
-class _Truthy:
+class _Truthy(_Kernel):
     """A bare column in boolean position — ``_bool3`` of the value."""
 
     __slots__ = ("j",)
@@ -335,28 +381,19 @@ class _Truthy:
     def __init__(self, j: int):
         self.j = j
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
         col = store.cols[self.j]
-        n = hi - lo
         if col.kind == "date":
-            out = _blank(n, TRUE3)  # dates are always truthy
+            truth = np.ones(hi - lo, dtype=np.bool_)  # dates are always truthy
+        elif col.kind == "bool":
+            truth = col.values[lo:hi]
         else:
-            vals = col.values[lo:hi]
-            if col.kind == "int":
-                truth = vals != 0
-            elif col.kind == "float":
-                truth = vals != 0.0  # NaN != 0.0 is True, matching bool(nan)
-            elif col.kind == "bool":
-                truth = vals
-            else:  # text
-                truth = vals != ""
-            out = _blank(n, FALSE3)
-            out[truth] = TRUE3
-        out[col.null[lo:hi]] = UNKNOWN3
-        return out
+            # NaN != 0 is True, matching bool(nan)
+            truth = col.values[lo:hi] != ("" if col.kind == "text" else 0)
+        return _masked(truth, col.nulls(lo, hi))
 
 
-class _IsNullPred:
+class _IsNullPred(_Kernel):
     """``IS [NOT] NULL`` — the one NULL test that yields a plain bool."""
 
     __slots__ = ("j", "negated")
@@ -365,11 +402,9 @@ class _IsNullPred:
         self.j = j
         self.negated = negated
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
         null = store.cols[self.j].null[lo:hi]
-        out = _blank(hi - lo, TRUE3 if self.negated else FALSE3)
-        out[null] = FALSE3 if self.negated else TRUE3
-        return out
+        return (~null if self.negated else null), None
 
 
 _CMP_FUNCS = {
@@ -382,7 +417,7 @@ _CMP_FUNCS = {
 }
 
 
-class _CmpColLit:
+class _CmpColLit(_Kernel):
     """``col OP literal`` within one comparable domain.
 
     ``domain`` selects the array view: ``num`` compares in float64 (the
@@ -398,20 +433,16 @@ class _CmpColLit:
         self.rhs = rhs
         self.domain = domain
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
         col = store.cols[self.j]
         if self.domain == "num":
             lhs = col.as_float()[lo:hi]
         else:
             lhs = col.values[lo:hi]
-        truth = _CMP_FUNCS[self.op](lhs, self.rhs)
-        out = _blank(hi - lo, FALSE3)
-        out[truth] = TRUE3
-        out[col.null[lo:hi]] = UNKNOWN3
-        return out
+        return _masked(_CMP_FUNCS[self.op](lhs, self.rhs), col.nulls(lo, hi))
 
 
-class _CmpColCol:
+class _CmpColCol(_Kernel):
     """``col OP col`` within one comparable domain; NULL on either side
     makes the comparison UNKNOWN."""
 
@@ -423,17 +454,14 @@ class _CmpColCol:
         self.op = op
         self.domain = domain
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
         cl, cr = store.cols[self.jl], store.cols[self.jr]
         if self.domain == "num":
             lhs, rhs = cl.as_float()[lo:hi], cr.as_float()[lo:hi]
         else:
             lhs, rhs = cl.values[lo:hi], cr.values[lo:hi]
         truth = _CMP_FUNCS[self.op](lhs, rhs)
-        out = _blank(hi - lo, FALSE3)
-        out[truth] = TRUE3
-        out[cl.null[lo:hi] | cr.null[lo:hi]] = UNKNOWN3
-        return out
+        return _masked(truth, _nulls(store, (self.jl, self.jr), lo, hi))
 
 
 _like_to_regex = None
@@ -451,13 +479,12 @@ def _like_rx(pattern: str) -> Any:
     return _like_to_regex(pattern)
 
 
-class _LikePred:
+class _LikePred(_Kernel):
     """``text_col LIKE 'pattern'`` via the row path's precompiled regex.
 
     Evaluated over the original Python strings (regex semantics exactly
     match the per-row interpreter); this is the one kernel that loops in
-    Python, which is also why LIKE-heavy scans are the showcase for
-    partition-parallel execution.
+    Python.
     """
 
     __slots__ = ("j", "pattern")
@@ -466,394 +493,67 @@ class _LikePred:
         self.j = j
         self.pattern = pattern
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
         match = _like_rx(self.pattern).match
-        chunk = store.cols[self.j].pylist[lo:hi]
-        return np.fromiter(
-            (
-                UNKNOWN3 if v is None else (TRUE3 if match(v) else FALSE3)
-                for v in chunk
-            ),
-            dtype=np.int8,
-            count=hi - lo,
-        )
+        col = store.cols[self.j]
+        chunk = col.pylist[lo:hi]
+        unknown = col.nulls(lo, hi)
+        if unknown is None:
+            matches: Any = map(match, chunk)
+        else:
+            matches = (v is not None and match(v) is not None for v in chunk)
+        return np.fromiter(matches, dtype=np.bool_, count=hi - lo), unknown
 
 
-class _NotPred:
+class _NotPred(_Kernel):
     __slots__ = ("child",)
 
-    def __init__(self, child: Any):
+    def __init__(self, child: _Kernel):
         self.child = child
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return (TRUE3 - self.child.eval(store, lo, hi)).astype(np.int8, copy=False)
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
+        truth, unknown = self.child.eval(store, lo, hi)
+        if unknown is None:
+            return ~truth, None
+        return ~(truth | unknown), unknown
 
 
-class _AndPred:
+class _AndPred(_Kernel):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Any, right: Any):
+    def __init__(self, left: _Kernel, right: _Kernel):
         self.left = left
         self.right = right
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return np.minimum(self.left.eval(store, lo, hi), self.right.eval(store, lo, hi))
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
+        lt, lu = self.left.eval(store, lo, hi)
+        rt, ru = self.right.eval(store, lo, hi)
+        truth = lt & rt
+        # UNKNOWN where neither side is FALSE and not both are TRUE.
+        if lu is None:
+            return truth, None if ru is None else lt & ru
+        if ru is None:
+            return truth, lu & rt
+        return truth, (lt | lu) & (rt | ru) & ~truth
 
 
-class _OrPred:
+class _OrPred(_Kernel):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Any, right: Any):
+    def __init__(self, left: _Kernel, right: _Kernel):
         self.left = left
         self.right = right
 
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return np.maximum(self.left.eval(store, lo, hi), self.right.eval(store, lo, hi))
-
-
-# ---------------------------------------------------------------------------
-# Two-valued (non-Kleene) kernels
-#
-# When the static inference pass proves a conjunct can never go UNKNOWN
-# on any row that matters — every column whose NULL would leak UNKNOWN
-# into its mask is NOT NULL (by schema or by data), or its NULL rows are
-# rejected outright by another conjunct that stays Kleene — the conjunct
-# is evaluated as a plain boolean array, skipping the validity bitmap
-# and the int8 blank/overwrite round trip entirely.
-# ---------------------------------------------------------------------------
-
-
-class _B2Const:
-    """A definite boolean constant (two-valued ``_Const``)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: bool):
-        self.value = value
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return np.full(hi - lo, self.value, dtype=np.bool_)
-
-
-class _B2Truthy:
-    """Two-valued ``_Truthy``: truthiness of a never-NULL column."""
-
-    __slots__ = ("j",)
-
-    def __init__(self, j: int):
-        self.j = j
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        col = store.cols[self.j]
-        if col.kind == "date":
-            return np.ones(hi - lo, dtype=np.bool_)
-        vals = col.values[lo:hi]
-        if col.kind == "int":
-            return vals != 0
-        if col.kind == "float":
-            return vals != 0.0
-        if col.kind == "bool":
-            return vals.copy()  # never hand out a store view
-        return vals != ""
-
-
-class _B2IsNullPred:
-    """Two-valued ``IS [NOT] NULL``.  Exact at *every* row (the Kleene
-    kernel is already definite), so it converts unconditionally."""
-
-    __slots__ = ("j", "negated")
-
-    def __init__(self, j: int, negated: bool):
-        self.j = j
-        self.negated = negated
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        null = store.cols[self.j].null[lo:hi]
-        return ~null if self.negated else null.copy()
-
-
-class _B2CmpColLit:
-    """Two-valued ``col OP literal`` — the comparison array, no bitmap."""
-
-    __slots__ = ("j", "op", "rhs", "domain")
-
-    def __init__(self, j: int, op: str, rhs: Any, domain: str):
-        self.j = j
-        self.op = op
-        self.rhs = rhs
-        self.domain = domain
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        col = store.cols[self.j]
-        if self.domain == "num":
-            lhs = col.as_float()[lo:hi]
-        else:
-            lhs = col.values[lo:hi]
-        return _CMP_FUNCS[self.op](lhs, self.rhs)
-
-
-class _B2CmpColCol:
-    """Two-valued ``col OP col``."""
-
-    __slots__ = ("jl", "jr", "op", "domain")
-
-    def __init__(self, jl: int, jr: int, op: str, domain: str):
-        self.jl = jl
-        self.jr = jr
-        self.op = op
-        self.domain = domain
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        cl, cr = store.cols[self.jl], store.cols[self.jr]
-        if self.domain == "num":
-            lhs, rhs = cl.as_float()[lo:hi], cr.as_float()[lo:hi]
-        else:
-            lhs, rhs = cl.values[lo:hi], cr.values[lo:hi]
-        return _CMP_FUNCS[self.op](lhs, rhs)
-
-
-class _B2Like:
-    """Two-valued LIKE.  The ``None`` guard covers rows whose NULLs are
-    rejected by a pinned Kleene conjunct — their value here is moot, but
-    the regex must not see ``None``."""
-
-    __slots__ = ("j", "pattern")
-
-    def __init__(self, j: int, pattern: str):
-        self.j = j
-        self.pattern = pattern
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        match = _like_rx(self.pattern).match
-        chunk = store.cols[self.j].pylist[lo:hi]
-        return np.fromiter(
-            (False if v is None else bool(match(v)) for v in chunk),
-            dtype=np.bool_,
-            count=hi - lo,
-        )
-
-
-class _B2Not:
-    __slots__ = ("child",)
-
-    def __init__(self, child: Any):
-        self.child = child
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return ~self.child.eval(store, lo, hi)
-
-
-class _B2And:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Any, right: Any):
-        self.left = left
-        self.right = right
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return self.left.eval(store, lo, hi) & self.right.eval(store, lo, hi)
-
-
-class _B2Or:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Any, right: Any):
-        self.left = left
-        self.right = right
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        return self.left.eval(store, lo, hi) | self.right.eval(store, lo, hi)
-
-
-class _ConjunctivePred:
-    """Top-level AND over independently compiled conjunct kernels, some
-    Kleene int8 and some two-valued bool.
-
-    ``keep = AND_i (mask_i == TRUE3)`` is identical to evaluating the
-    Kleene AND of all conjuncts and testing ``== TRUE3`` at the end —
-    the decomposition the two-valued conversion relies on.  Combination
-    is non-inplace: kernels may return views of store arrays.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Sequence[Any]):
-        self.parts = tuple(parts)
-
-    def eval(self, store: ColumnStore, lo: int, hi: int) -> Any:
-        out = None
-        for part in self.parts:
-            mask = part.eval(store, lo, hi)
-            keep = mask if mask.dtype == np.bool_ else mask == TRUE3
-            out = keep if out is None else out & keep
-        return out
-
-
-def _kernel_null_refs(kernel: Any) -> frozenset:
-    """Columns whose NULL at a row can make this kernel's two-valued
-    conversion diverge from the Kleene mask at that row.
-
-    ``_IsNullPred`` reads the bitmap but its verdict is definite and its
-    conversion exact everywhere, so it contributes nothing; ``_Const``
-    references no columns at all.
-    """
-    if isinstance(kernel, (_Truthy, _CmpColLit, _LikePred)):
-        return frozenset((kernel.j,))
-    if isinstance(kernel, _CmpColCol):
-        return frozenset((kernel.jl, kernel.jr))
-    if isinstance(kernel, _FixedNonNull):
-        return frozenset(kernel.js)
-    if isinstance(kernel, _NotPred):
-        return _kernel_null_refs(kernel.child)
-    if isinstance(kernel, (_AndPred, _OrPred)):
-        return _kernel_null_refs(kernel.left) | _kernel_null_refs(kernel.right)
-    return frozenset()
-
-
-def _null_outcomes(kernel: Any, j: int) -> Tuple[bool, bool]:
-    """``(never_true, never_false)`` of the Kleene kernel on rows where
-    column ``j`` is NULL."""
-    if isinstance(kernel, _Const):
-        return kernel.code != TRUE3, kernel.code != FALSE3
-    if isinstance(kernel, _FixedNonNull):
-        if j in kernel.js:
-            return True, True  # forced UNKNOWN
-        return kernel.code != TRUE3, kernel.code != FALSE3
-    if isinstance(kernel, (_Truthy, _CmpColLit, _LikePred)):
-        return (True, True) if kernel.j == j else (False, False)
-    if isinstance(kernel, _CmpColCol):
-        return (True, True) if j in (kernel.jl, kernel.jr) else (False, False)
-    if isinstance(kernel, _IsNullPred):
-        if kernel.j == j:
-            # Definite: TRUE for IS NULL, FALSE for IS NOT NULL.
-            return (True, False) if kernel.negated else (False, True)
-        return False, False
-    if isinstance(kernel, _NotPred):
-        nt, nf = _null_outcomes(kernel.child, j)
-        return nf, nt
-    if isinstance(kernel, _AndPred):
-        lnt, lnf = _null_outcomes(kernel.left, j)
-        rnt, rnf = _null_outcomes(kernel.right, j)
-        return lnt or rnt, lnf and rnf
-    if isinstance(kernel, _OrPred):
-        lnt, lnf = _null_outcomes(kernel.left, j)
-        rnt, rnf = _null_outcomes(kernel.right, j)
-        return lnt and rnt, lnf or rnf
-    return False, False
-
-
-def _to_bool_kernel(kernel: Any) -> Optional[Any]:
-    """The two-valued equivalent of a Kleene kernel, or ``None``.
-
-    The conversion is exact at every row where all of the kernel's
-    ``_kernel_null_refs`` columns are non-NULL (and, for IS [NOT] NULL
-    and definite constants, at every row outright).  A ``_Const`` that is
-    UNKNOWN stays Kleene: two-valuing it would invert wrongly under NOT.
-    """
-    if isinstance(kernel, (_Const, _FixedNonNull)):
-        if kernel.code == TRUE3:
-            return _B2Const(True)
-        if kernel.code == FALSE3:
-            return _B2Const(False)
-        return None
-    if isinstance(kernel, _Truthy):
-        return _B2Truthy(kernel.j)
-    if isinstance(kernel, _IsNullPred):
-        return _B2IsNullPred(kernel.j, kernel.negated)
-    if isinstance(kernel, _CmpColLit):
-        return _B2CmpColLit(kernel.j, kernel.op, kernel.rhs, kernel.domain)
-    if isinstance(kernel, _CmpColCol):
-        return _B2CmpColCol(kernel.jl, kernel.jr, kernel.op, kernel.domain)
-    if isinstance(kernel, _LikePred):
-        return _B2Like(kernel.j, kernel.pattern)
-    if isinstance(kernel, _NotPred):
-        child = _to_bool_kernel(kernel.child)
-        return None if child is None else _B2Not(child)
-    if isinstance(kernel, (_AndPred, _OrPred)):
-        left = _to_bool_kernel(kernel.left)
-        right = _to_bool_kernel(kernel.right)
-        if left is None or right is None:
-            return None
-        cls = _B2And if isinstance(kernel, _AndPred) else _B2Or
-        return cls(left, right)
-    return None
-
-
-def _two_valued_parts(
-    kernels: Sequence[Any], store: ColumnStore, schema: Any
-) -> Tuple[List[Any], int]:
-    """Convert eligible conjunct kernels to two-valued; returns
-    ``(parts, converted_count)``.
-
-    A conjunct converts when every column in its ``_kernel_null_refs``
-    either can never be NULL (``Column.nullable`` is False, or no NULL
-    is present in the current store — the compile cache is keyed on
-    ``data_version``, so the data claim cannot go stale) or has its NULL
-    rows rejected outright by another conjunct that *remains Kleene*.
-    Rejectors are pinned (never themselves converted): two conjuncts
-    must not two-value each other on the strength of mutual rejection —
-    with fill values in place both could go TRUE on a NULL row the
-    Kleene pair would have rejected.  The one exception is ``IS NOT
-    NULL``, whose conversion is exact at NULL rows too and therefore
-    still rejects after converting.
-    """
-    n = len(kernels)
-    refs = [_kernel_null_refs(k) for k in kernels]
-    all_refs: set = set().union(*refs) if refs else set()
-    never_null = {
-        j
-        for j in all_refs
-        if not schema.columns[j].nullable or not bool(store.cols[j].null.any())
-    }
-    parts: List[Any] = list(kernels)
-    pinned: set = set()
-    converted: set = set()
-    for i in range(n):
-        if i in pinned:
-            continue
-        bool_kernel = _to_bool_kernel(kernels[i])
-        if bool_kernel is None:
-            continue
-        unsafe = refs[i] - never_null
-        helpers: set = set()
-        ok = True
-        for j in sorted(unsafe):
-            helper = None
-            needs_pin = False
-            for k in range(n):
-                if k == i:
-                    continue
-                if (
-                    isinstance(kernels[k], _IsNullPred)
-                    and kernels[k].negated
-                    and kernels[k].j == j
-                ):
-                    helper, needs_pin = k, False
-                    break
-                if k in converted:
-                    continue
-                if _null_outcomes(kernels[k], j)[0]:
-                    helper, needs_pin = k, True
-                    break
-            if helper is None:
-                ok = False
-                break
-            if needs_pin:
-                helpers.add(helper)
-        if not ok:
-            continue
-        parts[i] = bool_kernel
-        converted.add(i)
-        pinned |= helpers
-    return parts, len(converted)
-
-
-def _scan_span_task(shared: Tuple[ColumnStore, Any], lo: int, hi: int) -> Any:
-    """Partition-worker entry point: evaluate the compiled predicate over
-    one ``[lo, hi)`` row span.  ``shared`` travels by fork inheritance
-    (the arrays are never pickled); the returned int8 mask is small."""
-    store, pred = shared
-    return pred.eval(store, lo, hi)
+    def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
+        lt, lu = self.left.eval(store, lo, hi)
+        rt, ru = self.right.eval(store, lo, hi)
+        truth = lt | rt
+        # UNKNOWN where either side is UNKNOWN and neither is TRUE.
+        if lu is None:
+            return truth, None if ru is None else ru & ~lt
+        if ru is None:
+            return truth, lu & ~rt
+        return truth, (lu | ru) & ~truth
 
 
 # ---------------------------------------------------------------------------
@@ -879,13 +579,6 @@ def _stmt_exprs(stmt: SelectStatement):
         yield order.expr
 
 
-def _code3(value: Any) -> int:
-    """The row path's ``_bool3`` as a truth code."""
-    if value is None:
-        return UNKNOWN3
-    return TRUE3 if bool(value) else FALSE3
-
-
 class _WhereCompiler:
     """Compiles a WHERE expression into a mask-kernel tree, or raises
     :class:`_Unsupported` naming the first operator outside the envelope."""
@@ -895,7 +588,7 @@ class _WhereCompiler:
         self.schema = schema
         self.binding = binding
 
-    def compile(self, expr: Expr) -> Any:
+    def compile(self, expr: Expr) -> _Kernel:
         return self._expr(expr)
 
     # -- resolution ---------------------------------------------------------
@@ -917,9 +610,9 @@ class _WhereCompiler:
 
     # -- expression dispatch ------------------------------------------------
 
-    def _expr(self, expr: Expr) -> Any:
+    def _expr(self, expr: Expr) -> _Kernel:
         if isinstance(expr, Literal):
-            return _Const(_code3(expr.value))
+            return _Const(None if expr.value is None else bool(expr.value))
         if isinstance(expr, ColumnRef):
             return _Truthy(self._value_col(expr))
         if isinstance(expr, UnaryOp):
@@ -942,13 +635,12 @@ class _WhereCompiler:
                 return _IsNullPred(self._col(expr.operand), expr.negated)
             if isinstance(expr.operand, Literal):
                 is_null = expr.operand.value is None
-                verdict = (not is_null) if expr.negated else is_null
-                return _Const(TRUE3 if verdict else FALSE3)
+                return _Const((not is_null) if expr.negated else is_null)
             raise _Unsupported("IS NULL over a computed expression")
         if isinstance(expr, Between):
             low = self._cmp_exprs(">=", expr.operand, expr.low)
             high = self._cmp_exprs("<=", expr.operand, expr.high)
-            node: Any = _AndPred(low, high)
+            node: _Kernel = _AndPred(low, high)
             return _NotPred(node) if expr.negated else node
         if isinstance(expr, InList):
             return self._in_list(expr)
@@ -956,10 +648,10 @@ class _WhereCompiler:
             raise _Unsupported("CASE expression in WHERE")
         raise _Unsupported(f"{type(expr).__name__} in WHERE")
 
-    def _cmp_exprs(self, op: str, left: Expr, right: Expr) -> Any:
+    def _cmp_exprs(self, op: str, left: Expr, right: Expr) -> _Kernel:
         return self._cmp(op, left, right)
 
-    def _cmp(self, op: str, left: Expr, right: Expr) -> Any:
+    def _cmp(self, op: str, left: Expr, right: Expr) -> _Kernel:
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
             return self._col_lit(op, left, right.value)
         if isinstance(left, Literal) and isinstance(right, ColumnRef):
@@ -970,36 +662,35 @@ class _WhereCompiler:
             return _Const(self._lit_lit(op, left.value, right.value))
         raise _Unsupported("comparison over computed expressions")
 
-    def _lit_lit(self, op: str, lv: Any, rv: Any) -> int:
+    def _lit_lit(self, op: str, lv: Any, rv: Any) -> Optional[bool]:
         # Mirrors Executor._eval_binary / _compare3 for two constants.
         if lv is None or rv is None:
-            return UNKNOWN3
+            return None
         if op == "=":
-            return TRUE3 if values_equal(lv, rv) else FALSE3
+            return values_equal(lv, rv)
         if op == "!=":
-            return TRUE3 if not values_equal(lv, rv) else FALSE3
+            return not values_equal(lv, rv)
         cmp = values_compare(lv, rv)
         if cmp is None:
-            return FALSE3
-        verdict = {
+            return False
+        return {
             "<": cmp < 0,
             "<=": cmp <= 0,
             ">": cmp > 0,
             ">=": cmp >= 0,
         }[op]
-        return TRUE3 if verdict else FALSE3
 
-    def _col_lit(self, op: str, ref: ColumnRef, lit: Any) -> Any:
+    def _col_lit(self, op: str, ref: ColumnRef, lit: Any) -> _Kernel:
         j = self._value_col(ref)
         col = self.store.cols[j]
         kind = col.kind
         if lit is None:
-            return _Const(UNKNOWN3)
-        mismatch_code = TRUE3 if op == "!=" else FALSE3
+            return _Const(None)
+        mismatch = op == "!="
         if isinstance(lit, bool):
             if kind == "bool":
                 return _CmpColLit(j, op, lit, "bool")
-            return _FixedNonNull((j,), mismatch_code)
+            return _FixedNonNull((j,), mismatch)
         if isinstance(lit, (int, float)):
             if isinstance(lit, float) and math.isnan(lit):
                 raise _Unsupported("NaN literal")
@@ -1016,7 +707,7 @@ class _WhereCompiler:
                 except OverflowError:
                     raise _Unsupported("integer literal beyond float range") from None
                 return _CmpColLit(j, op, rhs, "num")
-            return _FixedNonNull((j,), mismatch_code)
+            return _FixedNonNull((j,), mismatch)
         if isinstance(lit, str):
             if kind == "text":
                 if "\x00" in lit:
@@ -1026,8 +717,8 @@ class _WhereCompiler:
                 coerced = iso_date_or_none(lit)
                 if coerced is not None:
                     return _CmpColLit(j, op, coerced.toordinal(), "date")
-                return _FixedNonNull((j,), mismatch_code)
-            return _FixedNonNull((j,), mismatch_code)
+                return _FixedNonNull((j,), mismatch)
+            return _FixedNonNull((j,), mismatch)
         if isinstance(lit, datetime.date):
             if kind == "date":
                 return _CmpColLit(j, op, lit.toordinal(), "date")
@@ -1035,10 +726,10 @@ class _WhereCompiler:
                 # values_equal would try to parse each string cell as a
                 # date — per-row behaviour the kernels don't model.
                 raise _Unsupported("DATE literal against TEXT column")
-            return _FixedNonNull((j,), mismatch_code)
+            return _FixedNonNull((j,), mismatch)
         raise _Unsupported(f"literal {lit!r} in comparison")
 
-    def _col_col(self, op: str, left: ColumnRef, right: ColumnRef) -> Any:
+    def _col_col(self, op: str, left: ColumnRef, right: ColumnRef) -> _Kernel:
         jl, jr = self._value_col(left), self._value_col(right)
         cl, cr = self.store.cols[jl], self.store.cols[jr]
         kl, kr = cl.kind, cr.kind
@@ -1051,9 +742,9 @@ class _WhereCompiler:
             return _CmpColCol(jl, jr, op, kl)
         if (kl, kr) in (("date", "text"), ("text", "date")):
             raise _Unsupported("DATE/TEXT column comparison needs per-row coercion")
-        return _FixedNonNull((jl, jr), TRUE3 if op == "!=" else FALSE3)
+        return _FixedNonNull((jl, jr), op == "!=")
 
-    def _like(self, left: Expr, right: Expr) -> Any:
+    def _like(self, left: Expr, right: Expr) -> _Kernel:
         if (
             isinstance(left, ColumnRef)
             and isinstance(right, Literal)
@@ -1066,7 +757,7 @@ class _WhereCompiler:
             # rows actually reached) — row-path territory.
         raise _Unsupported("LIKE outside text-column-vs-pattern form")
 
-    def _in_list(self, expr: InList) -> Any:
+    def _in_list(self, expr: InList) -> _Kernel:
         if not isinstance(expr.operand, ColumnRef):
             raise _Unsupported("IN over a computed operand")
         for item in expr.items:
@@ -1074,7 +765,7 @@ class _WhereCompiler:
                 raise _Unsupported("non-literal IN list item")
         j = self._value_col(expr.operand)
         saw_null = any(item.value is None for item in expr.items)
-        node: Any = None
+        node: Optional[_Kernel] = None
         for item in expr.items:
             if item.value is None:
                 continue
@@ -1083,9 +774,9 @@ class _WhereCompiler:
         if node is None:
             # No non-NULL items: never a hit, so the verdict is UNKNOWN
             # for a NULL probe (or when the list held a NULL), else FALSE.
-            node = _FixedNonNull((j,), FALSE3)
+            node = _FixedNonNull((j,), False)
         if saw_null:
-            node = _OrPred(node, _Const(UNKNOWN3))
+            node = _OrPred(node, _Const(None))
         return _NotPred(node) if expr.negated else node
 
 
@@ -1122,21 +813,18 @@ class _CompiledQuery:
     """
 
     __slots__ = (
-        "table", "binding", "pred", "grouped", "group_js", "fast_items",
-        "fast_order", "twoval", "nconj",
+        "table", "binding", "pred", "grouped", "group_js", "fast_items", "fast_order",
     )
 
     def __init__(
         self,
         table: Any,
         binding: str,
-        pred: Any,
+        pred: Optional[_Kernel],
         grouped: bool,
         group_js: Any,
         fast_items: Any,
         fast_order: Any,
-        twoval: int = 0,
-        nconj: int = 0,
     ):
         self.table = table
         self.binding = binding
@@ -1145,9 +833,6 @@ class _CompiledQuery:
         self.group_js = group_js
         self.fast_items = fast_items
         self.fast_order = fast_order
-        #: WHERE conjuncts compiled to two-valued kernels / total conjuncts
-        self.twoval = twoval
-        self.nconj = nconj
 
 
 class _GroupCtx:
@@ -1222,7 +907,7 @@ class ColumnarEngine:
     ``None``, in which case the executor proceeds down the row path.
     """
 
-    def __init__(self, executor: Any, chunk_rows: Optional[int] = None, jobs: int = 0):
+    def __init__(self, executor: Any):
         if np is None:
             raise RuntimeError("numpy is required for the columnar engine")
         # The executor module is fully initialized by the time an
@@ -1235,13 +920,9 @@ class ColumnarEngine:
         self._not3 = rowpath._not3
         self._and3 = rowpath._and3
         self._or3 = rowpath._or3
-        self.chunk_rows = int(chunk_rows) if chunk_rows else DEFAULT_CHUNK_ROWS
-        self.jobs = int(jobs or 0)
-        #: below this row count a parallel scan is all fork overhead
-        self.parallel_min_rows = 2 * self.chunk_rows
         #: why the last statement fell back (``None`` when it was claimed)
         self.last_fallback: Optional[str] = None
-        self._cache: Dict[int, Tuple[Any, Any]] = {}
+        self._cache = LRUCache(256)
         self._cache_version = executor.database.data_version
 
     # -- public surface -----------------------------------------------------
@@ -1260,21 +941,15 @@ class ColumnarEngine:
         table = ex.database.table(compiled.table)
         store = table.column_store()
         n = store.n_rows
-        spans = chunk_spans(n, self.chunk_rows)
         with self._span("columnar-scan"):
             if compiled.pred is None:
                 idx = np.arange(n, dtype=np.int64)
             else:
-                masks = self._masks(store, compiled.pred, spans, n)
-                mask = masks[0] if len(masks) == 1 else np.concatenate(masks)
-                keep = mask if mask.dtype == np.bool_ else mask == TRUE3
-                idx = np.flatnonzero(keep)
+                idx = self._filter(store, compiled.pred, n)
         stats = ex._stats
         stats.full_scans += 1
         stats.rows_scanned += n
-        stats.partitions_scanned += len(spans)
         stats.vectorized += 1
-        stats.twoval_kernels += compiled.twoval
         rows_list = table.rows
         if compiled.grouped:
             rows, order_rows = self._grouped(
@@ -1309,10 +984,7 @@ class ColumnarEngine:
             bits.append("project")
         else:
             bits.append("project(row-eval)")
-        detail = f"chunk_rows={self.chunk_rows}, jobs={self.jobs or 1}"
-        if compiled.twoval:
-            detail = f"2-valued filter {compiled.twoval}/{compiled.nconj}, {detail}"
-        return f"columnar: vectorized {'+'.join(bits)} ({detail})"
+        return f"columnar: vectorized {'+'.join(bits)}"
 
     # -- compilation --------------------------------------------------------
 
@@ -1334,9 +1006,7 @@ class ColumnarEngine:
             result = unsupported.reason
         except Exception as exc:  # any surprise → canonical row path
             result = f"compile abandoned ({type(exc).__name__})"
-        if len(self._cache) > 256:
-            self._cache.clear()
-        self._cache[id(stmt)] = (stmt, result)
+        self._cache.put(id(stmt), (stmt, result))
         return result
 
     def _compile(self, stmt: SelectStatement, plan: Any) -> _CompiledQuery:
@@ -1369,28 +1039,8 @@ class ColumnarEngine:
         # built without inference behave exactly as before.
         where = plan.effective_where if plan.static_rewrites else stmt.where
         pred = None
-        twoval = 0
-        nconj = 0
         if where is not None:
-            compiler = _WhereCompiler(store, schema, binding)
-            if getattr(ex, "infer", True):
-                # Compile per conjunct (same left-to-right order as the
-                # AND tree, so fallback reasons are identical), then let
-                # inference pick two-valued kernels where sound.
-                kernels = [compiler.compile(c) for c in split_conjuncts(where)]
-                nconj = len(kernels)
-                parts, twoval = _two_valued_parts(kernels, store, schema)
-                if twoval:
-                    pred = _ConjunctivePred(parts)
-                else:
-                    # Nothing converted: keep the classic Kleene AND
-                    # chain (min-combination is associative, so the
-                    # left-assoc rebuild is mask-identical).
-                    pred = kernels[0]
-                    for kernel in kernels[1:]:
-                        pred = _AndPred(pred, kernel)
-            else:
-                pred = compiler.compile(where)
+            pred = _WhereCompiler(store, schema, binding).compile(where)
         grouped = bool(stmt.group_by) or ex._projects_aggregate(stmt)
         if grouped and any(
             isinstance(node, CaseExpr)
@@ -1412,8 +1062,7 @@ class ColumnarEngine:
         else:
             fast_items, fast_order = self._fast_projection(stmt, schema, binding)
         return _CompiledQuery(
-            table.name, binding, pred, grouped, group_js, fast_items, fast_order,
-            twoval, nconj,
+            table.name, binding, pred, grouped, group_js, fast_items, fast_order
         )
 
     def _local_col(self, ref: ColumnRef, schema: Any, binding: str) -> int:
@@ -1475,12 +1124,14 @@ class ColumnarEngine:
             return _NOOP_SPAN
         return profiler.span(name)
 
-    def _masks(
-        self, store: ColumnStore, pred: Any, spans: List[Tuple[int, int]], n: int
-    ) -> List[Any]:
-        if self.jobs > 1 and len(spans) > 1 and n >= self.parallel_min_rows:
-            return run_partitioned(_scan_span_task, (store, pred), spans, self.jobs)
-        return [pred.eval(store, lo, hi) for lo, hi in spans]
+    def _filter(self, store: ColumnStore, pred: _Kernel, n: int) -> Any:
+        """Ascending indices of the rows where ``pred`` is TRUE, evaluated
+        in ``_CHUNK_ROWS`` steps (an empty table is one empty step)."""
+        keeps = [
+            pred.eval(store, lo, min(lo + _CHUNK_ROWS, n))[0]
+            for lo in range(0, max(n, 1), _CHUNK_ROWS)
+        ]
+        return np.flatnonzero(keeps[0] if len(keeps) == 1 else np.concatenate(keeps))
 
     # -- projection ---------------------------------------------------------
 

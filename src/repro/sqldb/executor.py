@@ -206,8 +206,6 @@ class Executor:
         statement_cache_size: int = 256,
         analyze: bool = True,
         use_columnar: bool = True,
-        scan_chunk_rows: Optional[int] = None,
-        scan_jobs: int = 0,
         infer: bool = True,
     ):
         self.database = database
@@ -215,9 +213,9 @@ class Executor:
         self.analyze = analyze
         #: let the static inference pass (:mod:`repro.sqldb.inference`)
         #: rewrite plans: constant folding, dropping always-true and
-        #: implied conjuncts, short-circuiting provably-empty WHERE
-        #: clauses, and two-valued columnar kernels.  ``infer=False`` is
-        #: the escape hatch that restores pre-inference plans exactly.
+        #: implied conjuncts, and short-circuiting provably-empty WHERE
+        #: clauses.  ``infer=False`` is the escape hatch that restores
+        #: pre-inference plans exactly.
         self.infer = infer
         #: route eligible planned statements through the vectorized
         #: columnar kernels (:mod:`repro.sqldb.columnar`); anything the
@@ -225,9 +223,6 @@ class Executor:
         #: Only active together with ``use_planner`` — the naive path
         #: stays a pure reference interpreter.
         self.use_columnar = use_columnar
-        self.scan_chunk_rows = scan_chunk_rows
-        #: worker processes for partitioned parallel scans (0/1 = serial)
-        self.scan_jobs = scan_jobs
         self.last_stats = ExecutionStats()
         self.total_stats = ExecutionStats()
         self._stats = self.last_stats
@@ -239,9 +234,9 @@ class Executor:
         #: WindowFunction reached by ``_eval`` outside such a projection
         #: has no value and raises :class:`MisplacedWindowError`.
         self._active_windows: Optional[Dict[WindowFunction, Any]] = None
-        self._plan_cache: Dict[int, Tuple[SelectStatement, QueryPlan]] = {}
+        self._plan_cache = LRUCache(512)
         self._plan_catalog_version = database.catalog_version
-        self._analysis_cache: Dict[int, Tuple[SelectStatement, Any]] = {}
+        self._analysis_cache = LRUCache(512)
         self._analysis_data_version = database.data_version
 
     # -- public API -----------------------------------------------------------
@@ -280,9 +275,7 @@ class Executor:
         if self._analyzer is None:
             self._analyzer = SemanticAnalyzer(self.database)
         result = self._analyzer.analyze(stmt)
-        if len(self._analysis_cache) > 512:
-            self._analysis_cache.clear()
-        self._analysis_cache[id(stmt)] = (stmt, result)
+        self._analysis_cache.put(id(stmt), (stmt, result))
         return result
 
     def explain(self, stmt: Statement) -> str:
@@ -373,9 +366,7 @@ class Executor:
         if cached is not None and cached[0] is stmt:
             return cached[1]
         plan = self._planner.plan(stmt)
-        if len(self._plan_cache) > 512:
-            self._plan_cache.clear()
-        self._plan_cache[id(stmt)] = (stmt, plan)
+        self._plan_cache.put(id(stmt), (stmt, plan))
         return plan
 
     def _columnar_engine(self) -> "Optional[ColumnarEngine]":
@@ -387,9 +378,7 @@ class Executor:
             try:
                 from .columnar import ColumnarEngine
 
-                self._columnar = ColumnarEngine(
-                    self, chunk_rows=self.scan_chunk_rows, jobs=self.scan_jobs
-                )
+                self._columnar = ColumnarEngine(self)
             except Exception:
                 # numpy missing or engine init failed: permanently fall
                 # back to the row path for this executor.
@@ -646,7 +635,6 @@ class Executor:
             candidates = [all_rows[pos] for pos in sorted(set(positions))]
         else:
             stats.full_scans += 1
-            stats.partitions_scanned += 1  # a row-path scan is one partition
             candidates = table.rows
         stats.rows_scanned += len(candidates)
         if not scan.pushed:

@@ -17,9 +17,7 @@ Consumers:
   a column's value domain (``SQL503``);
 - the planner folds constants (:func:`fold_constants`), drops
   always-true conjuncts, drops range conjuncts implied by tighter ones
-  (:func:`implied_drops`), and short-circuits provably-empty scans;
-- the columnar engine uses ``nullability == never`` to select
-  two-valued boolean kernels that skip the validity bitmap.
+  (:func:`implied_drops`), and short-circuits provably-empty scans.
 
 Soundness notes:
 

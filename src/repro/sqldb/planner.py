@@ -66,8 +66,6 @@ class ExecutionStats:
     rows_scanned: int = 0
     rows_output: int = 0
     full_scans: int = 0
-    #: fixed-size scan partitions visited (a row-path scan counts as one)
-    partitions_scanned: int = 0
     #: queries answered by the vectorized columnar kernels
     vectorized: int = 0
     index_scans: int = 0
@@ -88,8 +86,6 @@ class ExecutionStats:
     static_rewrites: int = 0
     #: queries answered empty without scanning (provably-false WHERE)
     static_short_circuits: int = 0
-    #: columnar conjuncts compiled to two-valued (non-Kleene) kernels
-    twoval_kernels: int = 0
     strategy: str = ""
 
     def merge(self, other: "ExecutionStats") -> None:

@@ -8,9 +8,9 @@ Three layers of assurance, mirroring how the row path earned trust:
    byte for byte (and sqlite3, for the NULL corpus).
 2. **Seeded property tests** — hypothesis-generated WHERE clauses over a
    mixed-type table with NULLs, columnar vs naive.
-3. **Unit tests** — chunk partitioning, the fork pool, ColumnStore
-   layout/invalidation, scan statistics, EXPLAIN surface, fallback
-   reasons, and bulk inserts.
+3. **Unit tests** — filtered scans of an empty table, ColumnStore
+   layout/invalidation and read-only arrays, scan
+   statistics, EXPLAIN surface, fallback reasons, and bulk inserts.
 4. **Prefix extension** — secondary indexes and column stores absorb
    appended rows instead of rebuilding: a differential property test
    against one-shot builds, a guard that the work is proportional to
@@ -28,10 +28,10 @@ import threading
 import time
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.perf import DEFAULT_CHUNK_ROWS, chunk_spans, run_partitioned
 from repro.sqldb import (
     Column,
     ColumnStore,
@@ -133,12 +133,14 @@ def _normalized(rows):
 
 
 @pytest.fixture
-def null_engines():
+def null_engines(monkeypatch):
     db, oracle = _null_db_and_oracle()
     db.insert_many("t", [list(r) for r in NULL_ROWS])
     oracle.executemany("INSERT INTO t VALUES (?, ?, ?, ?)", NULL_ROWS)
-    # Tiny chunks so even the 5-row table takes the partitioned route.
-    yield Executor(db, use_columnar=True, scan_chunk_rows=2), oracle
+    # Two-row evaluation steps so even the 5-row table crosses step
+    # boundaries.
+    monkeypatch.setattr(columnar, "_CHUNK_ROWS", 2)
+    yield Executor(db, use_columnar=True), oracle
     oracle.close()
 
 
@@ -268,40 +270,23 @@ def test_property_columnar_grouped_matches_naive(where, key):
 
 
 # ---------------------------------------------------------------------------
-# Partitioning primitives
+# Evaluation steps: the empty table
 # ---------------------------------------------------------------------------
 
 
-def _span_sum(shared, lo, hi):
-    """Module-level so the fork pool can resolve it in workers."""
-    return sum(shared[lo:hi])
-
-
-class TestPartitioning:
-    def test_chunk_spans_cover_all_rows(self):
-        spans = chunk_spans(1_000_003, 131_072)
-        assert spans[0][0] == 0 and spans[-1][1] == 1_000_003
-        for (a_lo, a_hi), (b_lo, b_hi) in zip(spans, spans[1:]):
-            assert a_hi == b_lo
-        assert all(hi - lo <= 131_072 for lo, hi in spans)
-
-    def test_chunk_spans_empty_and_bad_size(self):
-        assert chunk_spans(0) == [(0, 0)]
-        # non-positive sizes degrade to the default chunk size
-        assert chunk_spans(10, -5) == [(0, 10)]
-        assert chunk_spans(10, 0) == [(0, 10)]
-
-    def test_run_partitioned_serial_equals_parallel(self):
-        data = list(range(10_000))
-        spans = chunk_spans(len(data), 1_000)
-        serial = run_partitioned(_span_sum, data, spans, jobs=1)
-        parallel = run_partitioned(_span_sum, data, spans, jobs=4)
-        assert serial == parallel
-        assert sum(serial) == sum(data)
-
-    def test_parallel_scan_equals_serial_scan(self):
-        rng = random.Random(11)
-        db = Database("par")
+class TestEmptyTable:
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT id, v FROM t WHERE v > 250 OR v IS NULL",
+            "SELECT COUNT(v), SUM(v), MIN(v), MAX(v) FROM t WHERE NOT (v < 250)",
+            "SELECT v, COUNT(*) FROM t WHERE v BETWEEN 100 AND 120 GROUP BY v",
+            "SELECT COUNT(*) FROM t WHERE v > 250",
+        ],
+    )
+    def test_filtered_scan_of_empty_table(self, sql):
+        # An empty table is one empty evaluation step, not zero steps.
+        db = Database("empty")
         db.create_table(
             TableSchema(
                 "t",
@@ -311,15 +296,11 @@ class TestPartitioning:
                 ],
             )
         )
-        db.insert_many("t", [[i, rng.randint(0, 999)] for i in range(5_000)])
-        sql = "SELECT COUNT(*), SUM(v), MIN(v), MAX(v) FROM t WHERE v > 250"
-        serial = Executor(db, scan_chunk_rows=512, scan_jobs=0)
-        parallel = Executor(db, scan_chunk_rows=512, scan_jobs=4)
-        assert _strict_rows(serial.execute_sql(sql)) == _strict_rows(
-            parallel.execute_sql(sql)
-        )
-        assert parallel.last_stats.vectorized == 1
-        assert parallel.last_stats.partitions_scanned == 10
+        ex = Executor(db)
+        got = ex.execute_sql(sql)
+        assert ex.last_stats.vectorized == 1
+        expected = Executor(db, use_planner=False).execute_sql(sql)
+        assert _strict_rows(got) == _strict_rows(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +356,24 @@ class TestColumnStore:
         by_name = dict(zip(store.column_names, store.cols))
         assert by_name["s"].kind == "other"
 
+    def test_arrays_are_read_only(self):
+        store = self._db().table("t").column_store()
+        by_name = dict(zip(store.column_names, store.cols))
+        for col in store.cols:
+            assert not col.null.flags.writeable
+            if col.values is not None:
+                assert not col.values.flags.writeable
+        assert not by_name["i"].as_float().flags.writeable
+        # IS NULL hands out a view of the bitmap; writing through it must
+        # raise instead of corrupting the shared store.
+        j = store.column_names.index("f")
+        truth, unknown = columnar._IsNullPred(j, False).eval(store, 0, store.n_rows)
+        assert unknown is None
+        assert np.shares_memory(truth, by_name["f"].null)
+        with pytest.raises(ValueError):
+            truth[0] = True
+        assert by_name["f"].null.tolist() == [False, True]
+
     def test_store_invalidated_by_writes(self):
         db = self._db()
         ex = Executor(db)
@@ -405,12 +404,11 @@ class TestObservability:
         return db
 
     def test_columnar_scan_stats(self):
-        ex = Executor(self._db(), scan_chunk_rows=100)
+        ex = Executor(self._db())
         ex.execute_sql("SELECT COUNT(*) FROM t WHERE v > 3")
         stats = ex.last_stats
         assert stats.vectorized == 1
         assert stats.rows_scanned == 700
-        assert stats.partitions_scanned == 7
         assert stats.full_scans == 1
 
     def test_row_path_scan_stats(self):
@@ -419,7 +417,6 @@ class TestObservability:
         stats = ex.last_stats
         assert stats.vectorized == 0
         assert stats.rows_scanned == 700
-        assert stats.partitions_scanned == 1
 
     def test_explain_reports_vectorized_shape(self):
         ex = Executor(self._db())
@@ -633,7 +630,8 @@ def assert_structures_match_one_shot(table):
         assert got.null.tolist() == want.null.tolist(), column.name
         assert len(got.pylist) == len(want.pylist)
         assert all(a is b for a, b in zip(got.pylist, want.pylist)), column.name
-        assert (got.has_nan, got.abs_max, got.int_sum_safe) == (
+        assert (got.has_null, got.has_nan, got.abs_max, got.int_sum_safe) == (
+            want.has_null,
             want.has_nan,
             want.abs_max,
             want.int_sum_safe,
@@ -798,13 +796,14 @@ def test_text_budget_counts_all_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("sql", NULL_CORPUS)
-def test_null_corpus_after_interleaved_writes(sql):
+def test_null_corpus_after_interleaved_writes(sql, monkeypatch):
     """The NULL/3VL corpus against sqlite3 after every step of a write
     sequence, so each read runs on indexes and stores extended by the
     step's rows (single inserts, bulk batches, an empty batch)."""
+    monkeypatch.setattr(columnar, "_CHUNK_ROWS", 2)
     db, oracle = _null_db_and_oracle()
     engines = [
-        Executor(db, use_columnar=True, scan_chunk_rows=2),
+        Executor(db, use_columnar=True),
         Executor(db, use_columnar=False),
     ]
     steps = [NULL_ROWS[:1], [], NULL_ROWS[1:3], NULL_ROWS[3:4], NULL_ROWS[4:]]

@@ -28,6 +28,7 @@ from repro.core.complexity import ComplexityTier, classify, spider_hardness
 from repro.core.intermediate import OQLCondition, OQLUnionQuery, PropertyRef
 from repro.ontology.relaxation import QueryRelaxer
 from repro.sqldb import Column, Database, DataType, SqlError, TableSchema
+from repro.sqldb import columnar
 from repro.sqldb.ast import SetOperation
 from repro.sqldb.errors import (
     MisplacedWindowError,
@@ -60,8 +61,11 @@ ROWS_U = [
 
 
 @pytest.fixture
-def engines():
+def engines(monkeypatch):
     """t(a,b,c) and u(a,b,c) in repro.sqldb and in sqlite3."""
+    # Two-row evaluation steps, so the columnar path crosses step
+    # boundaries even on these few-row tables.
+    monkeypatch.setattr(columnar, "_CHUNK_ROWS", 2)
     db = Database("dialect")
     for name, rows in (("t", ROWS_T), ("u", ROWS_U)):
         db.create_table(
@@ -102,7 +106,7 @@ def _paths(db):
     return (
         Executor(db, use_planner=False),
         Executor(db, use_planner=True, use_columnar=False),
-        Executor(db, use_planner=True, use_columnar=True, scan_chunk_rows=2),
+        Executor(db, use_planner=True, use_columnar=True),
     )
 
 
@@ -378,20 +382,20 @@ class TestAnalyzerDiagnostics:
 class TestColumnarFallback:
     def test_window_reason_named(self, engines):
         db, _ = engines
-        ex = Executor(db, use_columnar=True, scan_chunk_rows=2)
+        ex = Executor(db, use_columnar=True)
         text = ex.explain(parse_select("SELECT a, ROW_NUMBER() OVER (ORDER BY a) FROM t"))
         assert "columnar: row path (window function)" in text
 
     def test_grouped_case_reason_named(self, engines):
         db, _ = engines
-        ex = Executor(db, use_columnar=True, scan_chunk_rows=2)
+        ex = Executor(db, use_columnar=True)
         sql = "SELECT CASE WHEN a > 1 THEN SUM(b) ELSE 0 END FROM t GROUP BY a"
         text = ex.explain(parse_select(sql))
         assert "columnar: row path (CASE in a grouped query)" in text
 
     def test_compound_branches_still_vectorize(self, engines):
         db, _ = engines
-        ex = Executor(db, use_columnar=True, scan_chunk_rows=2)
+        ex = Executor(db, use_columnar=True)
         stmt = parse_select("SELECT a FROM t UNION SELECT a FROM u")
         ex.execute(stmt)
         text = ex.explain(stmt)

@@ -9,8 +9,9 @@ predicate simplification) across all four layers it touches:
    ``effective_where`` contract, provably-empty short-circuits (including
    grouped aggregates over the empty result), and the new
    ``ExecutionStats`` counters.
-4. **Columnar** — two-valued kernel selection and its safety rules
-   (never-null schema columns, IS NOT NULL exact rejectors, pinning).
+4. **Columnar** — the ``(true, unknown)`` mask connectives against the
+   row path's Kleene helpers, and the two-valued representation of
+   NULL-free predicates (``unknown is None``).
 
 The differential section is the load-bearing guarantee: every corpus the
 columnar engine is tested on must return byte-identical results with
@@ -20,8 +21,10 @@ inference on and off (``infer=False`` escape hatch).
 from __future__ import annotations
 
 import datetime
+import itertools
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -34,6 +37,9 @@ from repro.sqldb import (
     parse_expression,
     parse_select,
 )
+from repro.bench.workload_gen import build_telemetry_db, telemetry_schema
+from repro.sqldb import columnar
+from repro.sqldb import executor as rowpath
 from repro.sqldb.executor import Executor
 from repro.sqldb.inference import (
     ALWAYS,
@@ -433,83 +439,178 @@ class TestExecutorShortCircuit:
         assert _strict_rows(on.execute_sql(sql)) == _strict_rows(off.execute_sql(sql))
         assert off.last_stats.static_rewrites == 0
         assert off.last_stats.static_short_circuits == 0
-        assert off.last_stats.twoval_kernels == 0
 
 
 # ---------------------------------------------------------------------------
-# Columnar two-valued kernels
+# Columnar masks: connectives and the two-valued representation
 # ---------------------------------------------------------------------------
+
+
+class _Leaf(columnar._Kernel):
+    """A stub kernel returning a fixed ``(true, unknown)`` pair."""
+
+    def __init__(self, mask):
+        self.mask = mask
+
+    def eval(self, store, lo, hi):
+        return self.mask
+
+
+def _encodings(value):
+    """Every ``(true, unknown)`` pair for one truth value: a definite
+    value both without an unknown mask and with an all-False one."""
+    if value is None:
+        return [(np.array([False]), np.array([True]))]
+    return [(np.array([value]), None), (np.array([value]), np.array([False]))]
+
+
+def _decode(mask):
+    truth, unknown = mask
+    assert truth.dtype == np.bool_ and truth.shape == (1,)
+    if unknown is not None:
+        assert unknown.dtype == np.bool_ and unknown.shape == (1,)
+        assert not (truth & unknown).any(), "true and unknown overlap"
+        if unknown[0]:
+            return None
+    return bool(truth[0])
+
+
+class TestMaskConnectives:
+    VALUES = (True, False, None)
+
+    @pytest.mark.parametrize("kernel, oracle", [
+        (columnar._AndPred, rowpath._and3),
+        (columnar._OrPred, rowpath._or3),
+    ])
+    def test_binary_truth_table(self, kernel, oracle):
+        for lv, rv in itertools.product(self.VALUES, repeat=2):
+            for lm, rm in itertools.product(_encodings(lv), _encodings(rv)):
+                got = kernel(_Leaf(lm), _Leaf(rm)).eval(None, 0, 1)
+                assert _decode(got) == oracle(lv, rv), (lv, rv, lm, rm)
+                if lm[1] is None and rm[1] is None:
+                    assert got[1] is None, "two definite operands stay two-valued"
+
+    def test_not_truth_table(self):
+        for value in self.VALUES:
+            for mask in _encodings(value):
+                got = columnar._NotPred(_Leaf(mask)).eval(None, 0, 1)
+                assert _decode(got) == rowpath._not3(value), (value, mask)
+                assert (got[1] is None) == (mask[1] is None)
+
+
+def _telemetry(n: int = 200) -> Database:
+    """A small telemetry table whose nullable ``duration_ms`` holds no
+    NULL; ``ok`` keeps the generator's NULLs."""
+    source = build_telemetry_db(n, seed=0).table("telemetry").rows
+    db = Database("telemetry-small")
+    db.create_table(telemetry_schema())
+    db.insert_many("telemetry", [row[:6] + (row[0] * 7,) + row[7:] for row in source])
+    return db
+
+
+def _root_mask(ex: Executor, sql: str):
+    """The compiled WHERE kernel's ``(true, unknown)`` over the whole table."""
+    stmt = parse_select(sql)
+    compiled = ex._columnar_engine()._compiled(stmt, ex._plan_for(stmt))
+    assert not isinstance(compiled, str), compiled
+    store = ex.database.table(compiled.table).column_store()
+    return compiled.pred, compiled.pred.eval(store, 0, store.n_rows)
+
+
+def _assert_matches_naive(ex: Executor, sql: str, vectorized: bool = True):
+    got = ex.execute_sql(sql)
+    assert ex.last_stats.vectorized == int(vectorized), sql
+    naive = Executor(ex.database, use_planner=False)
+    assert _strict_rows(got) == _strict_rows(naive.execute_sql(sql)), sql
 
 
 class TestTwoValuedKernels:
+    """A predicate over columns holding no NULL evaluates two-valued by
+    representation: its root kernel returns ``unknown is None``."""
+
     def test_not_null_column_filter_goes_two_valued(self):
-        db = _db(300)
-        ex = Executor(db)
-        ex.execute_sql("SELECT COUNT(*) FROM t WHERE id > 100")
-        assert ex.last_stats.twoval_kernels == 1
-        assert ex.last_stats.vectorized == 1
+        ex = Executor(_telemetry())
+        for where in (
+            "device_id > 100 AND device_id < 4000",
+            "event_day > '2023-02-01' AND event_day < '2023-06-01'",
+            "session LIKE 'sess-1%'",
+        ):
+            sql = f"SELECT COUNT(*) FROM telemetry WHERE {where}"
+            _, (truth, unknown) = _root_mask(ex, sql)
+            assert unknown is None, where
+            assert truth.any(), where
+            _assert_matches_naive(ex, sql)
 
     def test_nullable_column_with_clean_data_goes_two_valued(self):
-        # "f" is declared nullable but holds no NULLs: the compile-time
-        # data check (keyed on data_version) still allows conversion.
-        db = _db(300)
-        ex = Executor(db)
-        ex.execute_sql("SELECT COUNT(*) FROM t WHERE f > 10")
-        assert ex.last_stats.twoval_kernels == 1
+        ex = Executor(_telemetry())
+        sql = "SELECT COUNT(*) FROM telemetry WHERE duration_ms > 10000"
+        _, (_, unknown) = _root_mask(ex, sql)
+        assert unknown is None
+        _assert_matches_naive(ex, sql)
 
     def test_nullable_column_with_nulls_stays_kleene(self):
-        db = _db(300)
-        ex = Executor(db)
-        ex.execute_sql("SELECT COUNT(*) FROM t WHERE a > 3")
-        assert ex.last_stats.twoval_kernels == 0
-        assert ex.last_stats.vectorized == 1
-
-    def test_is_not_null_rejector_enables_conversion(self):
-        # IS NOT NULL kernels are exact at NULL rows, so the second
-        # conjunct can go two-valued even though "a" holds NULLs.
-        db = _db(300)
-        ex = Executor(db)
-        ex.execute_sql("SELECT COUNT(*) FROM t WHERE a IS NOT NULL AND a > 3")
-        assert ex.last_stats.twoval_kernels == 2
-
-    def test_mixed_conjuncts_convert_partially(self):
-        db = _db(300)
-        ex = Executor(db)
-        ex.execute_sql("SELECT COUNT(*) FROM t WHERE id > 10 AND a > 3")
-        assert ex.last_stats.twoval_kernels == 1
-
-    def test_explain_shows_two_valued_detail(self):
-        db = _db(300)
-        ex = Executor(db)
-        text = ex.explain_sql("SELECT COUNT(*) FROM t WHERE id > 10 AND a > 3")
-        assert "2-valued filter 1/2" in text
-        assert "columnar: vectorized scan+filter+aggregate" in text
+        ex = Executor(_telemetry())
+        sql = "SELECT COUNT(*) FROM telemetry WHERE ok != FALSE"
+        _, (truth, unknown) = _root_mask(ex, sql)
+        assert unknown is not None and unknown.any()
+        assert not (truth & unknown).any()
+        _assert_matches_naive(ex, sql)
 
     def test_data_version_invalidates_conversion(self):
-        # Once a NULL lands in "f", the cached two-valued compile must
-        # not be reused.
+        # A NULL landing in the NULL-free column turns the next query's
+        # evaluation three-valued; no compile cached before the write
+        # may keep it two-valued.
+        db = _telemetry()
+        ex = Executor(db)
+        sql = "SELECT COUNT(*), SUM(duration_ms) FROM telemetry WHERE duration_ms > 10000"
+        _assert_matches_naive(ex, sql)
+        assert _root_mask(ex, sql)[1][1] is None
+        row = list(db.table("telemetry").rows[0])
+        row[0], row[6] = 10_000, None
+        db.insert("telemetry", row)
+        _, (_, unknown) = _root_mask(ex, sql)
+        assert unknown is not None and unknown.tolist()[-1] is True
+        _assert_matches_naive(ex, sql)
+        sql = "SELECT COUNT(*) FROM telemetry WHERE NOT (duration_ms > 10000)"
+        _assert_matches_naive(ex, sql)
+
+    def test_mixed_conjuncts_convert_partially(self):
+        # The NOT NULL conjunct stays two-valued; only the nullable one
+        # carries an unknown mask, and AND keeps it where the other is TRUE.
         db = _db(300)
         ex = Executor(db)
-        sql = "SELECT COUNT(*) FROM t WHERE f > 10"
-        before = ex.execute_sql(sql)
-        ex.execute_sql(sql)
-        assert ex.last_stats.twoval_kernels == 1
-        db.insert("t", [1000, 1, None, "x", datetime.date(2024, 1, 1)])
-        ex.execute_sql(sql)
-        assert ex.last_stats.twoval_kernels == 0
-        naive = Executor(db, use_planner=False)
-        assert _strict_rows(ex.execute_sql(sql)) == _strict_rows(naive.execute_sql(sql))
-        assert int(before.rows[0][0]) <= int(ex.execute_sql(sql).rows[0][0])
+        sql = "SELECT COUNT(*) FROM t WHERE id > 10 AND a > 3"
+        pred, (truth, unknown) = _root_mask(ex, sql)
+        store = db.table("t").column_store()
+        left_truth, left_unknown = pred.left.eval(store, 0, store.n_rows)
+        assert left_unknown is None
+        assert pred.right.eval(store, 0, store.n_rows)[1] is not None
+        a_null = np.array([row[1] is None for row in db.table("t").rows])
+        assert unknown.tolist() == (left_truth & a_null).tolist()
+        _assert_matches_naive(ex, sql)
+
+    def test_is_not_null_guard_leaves_no_unknown_rows(self):
+        db = _db(300)
+        ex = Executor(db)
+        sql = "SELECT COUNT(*) FROM t WHERE a IS NOT NULL AND a > 3"
+        _, (_, unknown) = _root_mask(ex, sql)
+        assert not unknown.any()
+        _assert_matches_naive(ex, sql)
 
     def test_mutual_rejection_is_not_exploited(self):
-        # Two copies of the same nullable predicate must not two-value
-        # each other (each would rely on the other's fill values).
+        # Each copy rejects the other's NULL rows, but neither may be
+        # evaluated on fill values there: ``a != 1`` is TRUE on a 0 fill.
         db = _db(300)
         ex = Executor(db)
-        naive = Executor(db, use_planner=False)
         sql = "SELECT COUNT(*) FROM t WHERE a = 0 AND a = 0"
-        assert _strict_rows(ex.execute_sql(sql)) == _strict_rows(naive.execute_sql(sql))
-        assert ex.last_stats.twoval_kernels <= 1
+        _assert_matches_naive(ex, sql, vectorized=False)  # an index scan
+        for where in ("a != 1 AND a != 1", "NOT (a = 0 AND a = 0)"):
+            _assert_matches_naive(ex, f"SELECT COUNT(*) FROM t WHERE {where}")
+
+    def test_explain_line_ends_at_shape(self):
+        ex = Executor(_db(300))
+        text = ex.explain_sql("SELECT COUNT(*) FROM t WHERE id > 10 AND a > 3")
+        assert text.splitlines()[-1] == "columnar: vectorized scan+filter+aggregate"
 
 
 # ---------------------------------------------------------------------------
