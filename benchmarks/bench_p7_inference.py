@@ -3,14 +3,12 @@
 Two measurements, both against the same engine with the inference pass
 toggled (``Executor(db, infer=...)``):
 
-1. **Plan rewrites** — the telemetry workload
+1. **Static short-circuit** — the telemetry workload
    (:mod:`repro.bench.workload_gen`) over a million-row fact table.
-   With inference on the planner drops implied/tautological conjuncts
-   before the columnar kernels run; both settings run the same kernels,
-   so the per-class timings only show what the rewrites save.  Parity is
-   asserted for every generated query before anything is timed, and a
-   provably-empty WHERE is timed separately to show the static
-   short-circuit skipping the scan entirely.
+   Inference on vs off must agree on every generated query (type-tagged
+   rows), and the scan classes over NOT NULL columns must run on the
+   vectorized kernels; then a provably-empty WHERE is timed with the
+   full scan against the static short-circuit that skips it entirely.
 2. **Candidate pruning** — every registered NLIDB system interprets the
    generated question sets of the bench domains; *all* candidate
    interpretations (not just the top one) are compiled and analyzed.
@@ -75,8 +73,8 @@ def timeit(fn: Callable[[], object], repeat: int) -> float:
     return best
 
 
-def _kernel_section(quick: bool) -> Tuple[Dict[str, Dict[str, float]], Dict[str, float], int]:
-    """(per-class timings, empty-short-circuit timings, scale) with parity."""
+def _kernel_section(quick: bool) -> Tuple[Dict[str, float], int]:
+    """(empty-short-circuit timings, scale), after parity on every query."""
     n_rows = 20_000 if quick else 1_000_000
     per_template = 2 if quick else 3
     repeat = 2 if quick else 3
@@ -87,39 +85,16 @@ def _kernel_section(quick: bool) -> Tuple[Dict[str, Dict[str, float]], Dict[str,
     infer_on = Executor(db, infer=True)
     row = Executor(db, use_columnar=False, infer=False)
 
-    # Parity before timing: inference on vs off on every generated query
-    # (type-tagged rows), plus the row interpreter three-way at quick
-    # scale where the per-row path is affordable.
+    # Parity: inference on vs off on every generated query (type-tagged
+    # rows), plus the row interpreter three-way at quick scale where the
+    # per-row path is affordable.
     for q in queries:
         expected = _strict_rows(infer_off.execute_sql(q.sql))
         assert _strict_rows(infer_on.execute_sql(q.sql)) == expected, q.sql
-        if quick:
-            assert _strict_rows(row.execute_sql(q.sql)) == expected, q.sql
-
-    for q in queries:
-        infer_on.execute_sql(q.sql)
         if q.template in SCAN_CLASSES:
             assert infer_on.last_stats.vectorized == 1, (q.template, q.sql)
-
-    by_class: Dict[str, List[str]] = {}
-    for q in queries:
-        by_class.setdefault(q.template, []).append(q.sql)
-
-    classes: Dict[str, Dict[str, float]] = {}
-    for template, sqls in by_class.items():
-        def run_all(executor: Executor, sqls=sqls) -> None:
-            for sql in sqls:
-                executor.execute_sql(sql)
-
-        off_s = timeit(lambda: run_all(infer_off), repeat)
-        on_s = timeit(lambda: run_all(infer_on), repeat)
-        infer_on.execute_sql(sqls[0])
-        classes[template] = {
-            "infer_off_s": off_s,
-            "infer_on_s": on_s,
-            "speedup": off_s / on_s,
-            "static_rewrites": float(infer_on.last_stats.static_rewrites),
-        }
+        if quick:
+            assert _strict_rows(row.execute_sql(q.sql)) == expected, q.sql
 
     # Provably-empty WHERE: full scan vs static short-circuit.
     expected = _strict_rows(infer_off.execute_sql(EMPTY_SQL))
@@ -133,7 +108,7 @@ def _kernel_section(quick: bool) -> Tuple[Dict[str, Dict[str, float]], Dict[str,
         "infer_on_s": empty_on_s,
         "speedup": empty_off_s / empty_on_s,
     }
-    return classes, empty, n_rows
+    return empty, n_rows
 
 
 def _pruning_section(quick: bool) -> Dict[str, Dict[str, object]]:
@@ -185,14 +160,13 @@ def _pruning_section(quick: bool) -> Dict[str, Dict[str, object]]:
 
 
 def run(quick: bool = False) -> Dict[str, object]:
-    classes, empty, n_rows = _kernel_section(quick)
+    empty, n_rows = _kernel_section(quick)
     pruning = _pruning_section(quick)
 
     max_pruned = max(int(stats["statically_pruned"]) for stats in pruning.values())
     results: Dict[str, object] = {
         "scale_rows": n_rows,
         "seed": SEED,
-        "classes": classes,
         "empty_short_circuit": empty,
         "pruning": pruning,
         "max_statically_pruned": max_pruned,
@@ -200,25 +174,14 @@ def run(quick: bool = False) -> Dict[str, object]:
 
     table: List[Dict[str, object]] = [
         {
-            "workload class": template,
-            "infer_off_s": f"{stats['infer_off_s']:.4f}",
-            "infer_on_s": f"{stats['infer_on_s']:.4f}",
-            "speedup": f"{stats['speedup']:.2f}x",
-            "rewrites": int(stats["static_rewrites"]),
-        }
-        for template, stats in sorted(classes.items())
-    ]
-    table.append(
-        {
-            "workload class": "provably-empty",
+            "query": "provably-empty WHERE",
             "infer_off_s": f"{empty['infer_off_s']:.4f}",
             "infer_on_s": f"{empty['infer_on_s']:.4f}",
             "speedup": f"{empty['speedup']:.1f}x",
-            "rewrites": "short-circuit",
         }
-    )
+    ]
     title = (
-        f"P7: inference on vs off "
+        f"P7: static short-circuit, inference on vs off "
         f"({n_rows} rows, seed={SEED}{', quick' if quick else ''})"
     )
     prune_table = [
