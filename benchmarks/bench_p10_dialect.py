@@ -21,13 +21,12 @@ Two measurements:
    now answers end to end.
 
 Emits ``benchmarks/results/p10_dialect.txt`` and ``BENCH_dialect.json``
-at the repo root.
+at the repo root; ``--quick`` runs write both under ``.bench_quick/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sqlite3
 import sys
@@ -35,7 +34,7 @@ from typing import Dict, List, Tuple
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _common import emit
+from _common import emit_record
 from repro.bench.domains import build_domain
 from repro.bench.harness import evaluate_system, format_table
 from repro.bench.workloads import WorkloadGenerator
@@ -46,7 +45,6 @@ from repro.sqldb.executor import Executor
 from repro.sqldb.parser import parse_select
 from repro.systems import AthenaNoBISystem, AthenaSystem
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SEED = 0
 UNION_DOMAINS = ("hr", "retail", "movies", "university")
@@ -240,7 +238,7 @@ def run(quick: bool = False) -> Dict[str, object]:
         }
         for domain, s in sorted(answerable.items())
     ]
-    emit(
+    emit_record(
         "p10_dialect",
         format_table(table, f"P10: dialect corpus vs sqlite3 oracle (seed={SEED})")
         + "\n\n"
@@ -248,10 +246,10 @@ def run(quick: bool = False) -> Dict[str, object]:
             rate_table,
             "P10: hard-tier (union-or) answerable rate, parsing vs full tier",
         ),
+        "BENCH_dialect.json",
+        results,
+        quick,
     )
-
-    with open(os.path.join(REPO_ROOT, "BENCH_dialect.json"), "w", encoding="utf-8") as f:
-        json.dump(results, f, indent=2, sort_keys=True)
 
     assert all_clean, families
     assert answerable, "no union-or examples generated"

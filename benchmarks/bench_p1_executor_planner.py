@@ -15,13 +15,13 @@ Databases come from the shared workload generator
 Runs standalone (``python benchmarks/bench_p1_executor_planner.py``,
 ``--quick`` for the CI smoke run) and under pytest like the E-series
 benchmarks.  Emits ``benchmarks/results/p1_executor_planner.txt`` and
-``BENCH_planner.json`` at the repo root.
+``BENCH_planner.json`` at the repo root; ``--quick`` runs write both
+under ``.bench_quick/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -29,13 +29,12 @@ from typing import Callable, Dict, List
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _common import emit
+from _common import emit_record
 from repro.bench.harness import format_table
 from repro.bench.workload_gen import build_customers_orders
 from repro.sqldb import Database
 from repro.sqldb.executor import Executor
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 JOIN_SQL = (
     "SELECT o.id, c.name FROM orders o JOIN customers c "
@@ -148,10 +147,13 @@ def run(quick: bool = False) -> Dict[str, float]:
         f"P1: planner vs naive interpreter "
         f"({scale[0]}x{scale[1]} rows{', quick' if quick else ''})"
     )
-    emit("p1_executor_planner", format_table(rows, title))
-
-    with open(os.path.join(REPO_ROOT, "BENCH_planner.json"), "w", encoding="utf-8") as f:
-        json.dump(results, f, indent=2, sort_keys=True)
+    emit_record(
+        "p1_executor_planner",
+        format_table(rows, title),
+        "BENCH_planner.json",
+        results,
+        quick,
+    )
 
     # Acceptance floors from the issue (relaxed at --quick scale, where
     # the nested loop is too small to dominate).

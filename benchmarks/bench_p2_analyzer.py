@@ -17,13 +17,12 @@ on top of the pipeline it guards:
 Runs standalone (``python benchmarks/bench_p2_analyzer.py``, ``--quick``
 for the CI smoke run) and under pytest like the E-series benchmarks.
 Emits ``benchmarks/results/p2_analyzer.txt`` and ``BENCH_analyzer.json``
-at the repo root.
+at the repo root; ``--quick`` runs write both under ``.bench_quick/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -31,14 +30,13 @@ from typing import Callable, Dict, List
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _common import emit
+from _common import emit_record
 from repro.bench import WorkloadGenerator, build_domain
 from repro.bench.harness import format_table
 from repro.sqldb import SqlError, parse_select
 from repro.sqldb.analyzer import SemanticAnalyzer
 from repro.sqldb.executor import Executor
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Broken statements for the rejection workload: one per major check
 # family (names, types, aggregation, arity, subquery shape).
@@ -159,10 +157,7 @@ def run(quick: bool = False) -> Dict[str, float]:
         },
     ]
     title = f"P2: static analyzer overhead ({len(sqls)} statements{', quick' if quick else ''})"
-    emit("p2_analyzer", format_table(rows, title))
-
-    with open(os.path.join(REPO_ROOT, "BENCH_analyzer.json"), "w", encoding="utf-8") as f:
-        json.dump(results, f, indent=2, sort_keys=True)
+    emit_record("p2_analyzer", format_table(rows, title), "BENCH_analyzer.json", results, quick)
 
     # The pre-flight runs once per distinct statement object, so the hit
     # rate is bounded below by (loops - 1) / loops.

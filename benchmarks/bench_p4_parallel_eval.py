@@ -22,13 +22,13 @@ scaling on top.
 Runs standalone (``python benchmarks/bench_p4_parallel_eval.py``,
 ``--quick`` for the CI smoke run) and under pytest.  Emits
 ``benchmarks/results/p4_parallel_eval.txt`` and
-``BENCH_parallel_eval.json`` at the repo root.
+``BENCH_parallel_eval.json`` at the repo root; ``--quick`` runs write
+both under ``.bench_quick/``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -36,14 +36,13 @@ from typing import Dict, List
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _common import emit
+from _common import emit_record
 from repro.bench.harness import evaluate_system, format_table, rows_for_outcomes
 from repro.bench.workloads import WorkloadGenerator
 from repro.core.registry import create
 from repro.perf.parallel import ContextSpec, parallel_compare_systems
 from repro.systems import AthenaSystem  # noqa: F401  (populate the registry)
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 JOBS = 4
 
@@ -135,14 +134,15 @@ def run(quick: bool = False) -> Dict[str, object]:
         f"({len(unique)} unique x{epochs}), jobs={JOBS}"
         f"{', quick' if quick else ''}"
     )
-    emit("p4_parallel_eval", format_table(rows, title))
+    emit_record(
+        "p4_parallel_eval",
+        format_table(rows, title),
+        "BENCH_parallel_eval.json",
+        results,
+        quick,
+    )
     print()
     print(report.profile.report("merged per-stage profile"))
-
-    with open(
-        os.path.join(REPO_ROOT, "BENCH_parallel_eval.json"), "w", encoding="utf-8"
-    ) as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
 
     if not quick:
         # Acceptance: the perf layer must at least halve the sweep's

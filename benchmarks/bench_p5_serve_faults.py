@@ -17,21 +17,21 @@ serving contract:
 
 Runs standalone (``python benchmarks/bench_p5_serve_faults.py``,
 ``--quick`` for the CI smoke run) and under pytest.  Emits
-``benchmarks/results/p5_serve_faults.txt`` and ``BENCH_serve_faults.json``
-at the repo root (the CI artifact).
+``benchmarks/results/p5_serve_faults.txt`` and
+``BENCH_serve_faults.json`` at the repo root; ``--quick`` runs write
+both under ``.bench_quick/`` (the CI artifact).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Dict, List
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _common import emit
+from _common import emit_record
 from repro.bench.harness import format_table
 from repro.bench.workloads import WorkloadGenerator
 from repro.core.registry import create
@@ -44,7 +44,6 @@ from repro.serve import (
 )
 from repro.systems import AthenaSystem  # noqa: F401  (populate the registry)
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: every stage, every fault kind, fixed seed — the CI smoke plan
 FAULT_PLAN = "*:error:0.2,*:latency:0.2:0.0005,*:corrupt:0.2"
@@ -152,12 +151,13 @@ def run(quick: bool = False) -> Dict[str, object]:
         f"P5: resilient serving, {len(questions)} questions, "
         f"primary={PRIMARY}, seed={FAULT_SEED}{', quick' if quick else ''}"
     )
-    emit("p5_serve_faults", format_table(rows, title))
-
-    with open(
-        os.path.join(REPO_ROOT, "BENCH_serve_faults.json"), "w", encoding="utf-8"
-    ) as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
+    emit_record(
+        "p5_serve_faults",
+        format_table(rows, title),
+        "BENCH_serve_faults.json",
+        results,
+        quick,
+    )
     return results
 
 

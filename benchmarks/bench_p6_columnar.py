@@ -11,7 +11,8 @@ Parity is asserted for *every* generated query before anything is timed
 (type-tagged rows, so ``1`` vs ``1.0`` drift would fail).  Emits
 ``benchmarks/results/p6_columnar.txt`` and ``BENCH_columnar.json`` at
 the repo root, including the workload seed and the per-kernel stage
-profile of a representative scan.
+profile of a representative scan; ``--quick`` runs write both under
+``.bench_quick/``.
 
 Acceptance floor: >=50x on the scan-heavy aggregate classes at the full
 million-row scale (relaxed at ``--quick`` scale, where fixed overheads
@@ -21,7 +22,6 @@ are a visible fraction of the scan).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -29,7 +29,7 @@ from typing import Callable, Dict, List
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _common import emit
+from _common import emit_record
 from repro.bench.harness import format_table
 from repro.bench.workload_gen import (
     SCAN_HEAVY_CLASSES,
@@ -39,7 +39,6 @@ from repro.bench.workload_gen import (
 from repro.perf import StageProfiler
 from repro.sqldb.executor import Executor
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SEED = 0
 #: the classes the >=50x floor applies to: whole-table scans answered
@@ -132,10 +131,7 @@ def run(quick: bool = False) -> Dict[str, object]:
         f"P6: columnar engine vs row path "
         f"({n_rows} rows, seed={SEED}{', quick' if quick else ''})"
     )
-    emit("p6_columnar", format_table(table, title))
-
-    with open(os.path.join(REPO_ROOT, "BENCH_columnar.json"), "w", encoding="utf-8") as f:
-        json.dump(results, f, indent=2, sort_keys=True)
+    emit_record("p6_columnar", format_table(table, title), "BENCH_columnar.json", results, quick)
 
     if not quick:
         assert floor >= 50.0, results

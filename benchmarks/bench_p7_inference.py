@@ -19,7 +19,8 @@ toggled (``Executor(db, infer=...)``):
    pruned/flagged count on at least one domain.
 
 Emits ``benchmarks/results/p7_inference.txt`` and
-``BENCH_inference.json`` at the repo root.
+``BENCH_inference.json`` at the repo root; ``--quick`` runs write both
+under ``.bench_quick/``.
 
 Acceptance floor: >=5x for the provably-empty short-circuit at the full
 million-row scale (>1x at ``--quick`` scale, where fixed overheads
@@ -30,7 +31,6 @@ one bench domain at either scale.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -38,12 +38,11 @@ from typing import Callable, Dict, List, Tuple
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _common import emit
+from _common import emit_record
 from repro.bench.harness import format_table
 from repro.bench.workload_gen import build_telemetry_db, generate_telemetry_queries
 from repro.sqldb.executor import Executor
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SEED = 0
 #: scan classes whose predicates hit only NOT NULL columns: the
@@ -194,15 +193,15 @@ def run(quick: bool = False) -> Dict[str, object]:
         }
         for domain, stats in sorted(pruning.items())
     ]
-    emit(
+    emit_record(
         "p7_inference",
         format_table(table, title)
         + "\n\n"
         + format_table(prune_table, "P7: static candidate pruning over bench domains"),
+        "BENCH_inference.json",
+        results,
+        quick,
     )
-
-    with open(os.path.join(REPO_ROOT, "BENCH_inference.json"), "w", encoding="utf-8") as f:
-        json.dump(results, f, indent=2, sort_keys=True)
 
     if not quick:
         assert empty["speedup"] >= 5.0, results

@@ -19,13 +19,13 @@ contract:
 Runs standalone (``python benchmarks/bench_p8_serve_concurrency.py``,
 ``--quick`` for the CI smoke run) and under pytest.  Emits
 ``benchmarks/results/p8_serve_concurrency.txt`` and
-``BENCH_serve_concurrency.json`` at the repo root (the CI artifact).
+``BENCH_serve_concurrency.json`` at the repo root; ``--quick`` runs
+write both under ``.bench_quick/`` (the CI artifact).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _common import emit
+from _common import emit_record
 from repro.bench.harness import format_table
 from repro.bench.workloads import WorkloadGenerator
 from repro.perf.parallel import ContextSpec
@@ -48,7 +48,6 @@ from repro.serve import (
 )
 from repro.systems import AthenaSystem  # noqa: F401  (populate the registry)
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: ~20% of stage boundaries fault; the latency faults really sleep, so
 #: the serial baseline pays them one after another while a pool overlaps
@@ -224,12 +223,13 @@ def run(quick: bool = False) -> Dict[str, object]:
         f"P8: concurrent serving, {len(questions)} questions, "
         f"primary={PRIMARY}, plan seed={FAULT_SEED}{', quick' if quick else ''}"
     )
-    emit("p8_serve_concurrency", format_table(rows, title))
-
-    with open(
-        os.path.join(REPO_ROOT, "BENCH_serve_concurrency.json"), "w", encoding="utf-8"
-    ) as handle:
-        json.dump(results_doc, handle, indent=2, sort_keys=True)
+    emit_record(
+        "p8_serve_concurrency",
+        format_table(rows, title),
+        "BENCH_serve_concurrency.json",
+        results_doc,
+        quick,
+    )
     return results_doc
 
 

@@ -22,7 +22,8 @@ index toggled (``NLIDBContext(db, use_schema_index=...)``):
    of the brute-force candidate comparisons were skipped.
 
 Emits ``benchmarks/results/p9_schema_index.txt`` and
-``BENCH_schema_index.json`` at the repo root.
+``BENCH_schema_index.json`` at the repo root; ``--quick`` runs write
+both under ``.bench_quick/``.
 
 Acceptance floors: >=5x indexed interpretation speedup at the 250-table
 catalog (full mode; ``--quick`` stops at width 100 where a >1x floor
@@ -33,7 +34,6 @@ modes.  Identity is asserted unconditionally in both modes.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Tuple
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from _common import emit
+from _common import emit_record
 import repro.systems  # noqa: F401  (imported to populate the registry)
 from repro.bench.catalog_gen import build_wide_catalog
 from repro.bench.domains import domain_names
@@ -50,7 +50,6 @@ from repro.bench.workloads import WorkloadGenerator
 from repro.core.pipeline import NLIDBContext
 from repro.core.registry import available, create
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SEED = 0
 #: the system timed in the latency section (widest matcher: ontology
@@ -206,12 +205,13 @@ def run(quick: bool = False) -> Dict[str, object]:
         f"identity: {identity['checks']} annotation checks across "
         f"{identity['domains']} domains x {identity['systems']} systems, 0 mismatches"
     )
-    emit("p9_schema_index", format_table(table, title))
-
-    with open(
-        os.path.join(REPO_ROOT, "BENCH_schema_index.json"), "w", encoding="utf-8"
-    ) as f:
-        json.dump(results, f, indent=2, sort_keys=True)
+    emit_record(
+        "p9_schema_index",
+        format_table(table, title),
+        "BENCH_schema_index.json",
+        results,
+        quick,
+    )
 
     # Identity was asserted above, unconditionally.  Perf floors:
     if not quick:

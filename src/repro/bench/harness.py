@@ -25,7 +25,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.complexity import ComplexityTier
 from repro.core.pipeline import NLIDBContext, NLIDBSystem
 from repro.perf.cache import MISSING, EvaluationCache
-from repro.perf.profiler import StageProfiler, profile_stage
+from repro.perf.profiler import StageProfiler, profile_span, profile_stage
 from repro.sqldb import parse_select
 
 from .metrics import ExampleOutcome, EvaluationSummary, by_tier, execution_match, exact_match, summarize
@@ -65,7 +65,7 @@ def _evaluate_example(
     pruning_before = pruning_before.snapshot() if pruning_before is not None else None
     interp_start = time.perf_counter()
     try:
-        with profile_stage("interpret"):
+        with profile_span("interpret"):
             interpretations = _interpret(system, context, example.question, cache)
     except Exception:
         interpretations = []
@@ -96,7 +96,7 @@ def _evaluate_example(
         static_rejected = rejected
         if codes is not None:
             metadata["static_diagnostics"] = codes
-        with profile_stage("score"):
+        with profile_span("score"):
             correct = _match(context, predicted_sql, example.sql, cache)
     return ExampleOutcome(
         question=example.question,

@@ -184,12 +184,9 @@ def cmd_systems(args: argparse.Namespace) -> int:
 
 def _build_service(context, args):
     """A ResilientService configured from serve/bench CLI flags."""
-    from repro.serve import FaultInjector, FaultPlan, NoopInjector, ResilientService
+    from repro.serve import FaultInjector, FaultPlan, ResilientService
 
-    if args.inject:
-        injector = FaultInjector(FaultPlan.parse(args.inject, seed=args.fault_seed))
-    else:
-        injector = NoopInjector()
+    injector = FaultInjector(FaultPlan.parse(args.inject or "", seed=args.fault_seed))
     return ResilientService(
         context,
         retries=args.retries,

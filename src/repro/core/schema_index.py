@@ -86,7 +86,7 @@ from repro.nlp.thesaurus import DEFAULT_THESAURUS, Thesaurus
 from repro.ontology.mapping import OntologyMapping
 from repro.ontology.model import Ontology
 from repro.perf.cache import MISSING, LRUCache, stats_for
-from repro.perf.profiler import profile_stage
+from repro.perf.profiler import profile_span
 from repro.sqldb.database import Database
 from repro.sqldb.index import split_identifier
 
@@ -368,7 +368,7 @@ class SchemaIndex:
             self._build_stats.hits += 1
             return
         self._build_stats.misses += 1
-        with profile_stage("schema_index", fire_hook=False):
+        with profile_span("schema_index"):
             self._build_lexicon()
         self._built_catalog_version = version
         self._build_stats.puts += 1
@@ -437,7 +437,7 @@ class SchemaIndex:
             self._value_stats.hits += 1
             return
         self._value_stats.misses += 1
-        with profile_stage("schema_index", fire_hook=False):
+        with profile_span("schema_index"):
             self._build_values()
         self._built_data_version = version
         self._value_stats.puts += 1

@@ -28,6 +28,7 @@ from .profiler import (
     StageProfiler,
     StageStat,
     active_profiler,
+    profile_span,
     profile_stage,
 )
 
@@ -55,6 +56,7 @@ __all__ = [
     "StageProfiler",
     "StageStat",
     "active_profiler",
+    "profile_span",
     "profile_stage",
     *sorted(_PARALLEL_EXPORTS),
 ]

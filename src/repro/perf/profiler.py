@@ -1,29 +1,28 @@
 """Per-stage wall-clock profiling for the interpret/answer pipeline.
 
 The pipeline decomposes into the stages every surveyed system shares —
-tokenize → parse → match → rank → compile → execute — plus two harness
-aggregates (``interpret`` spans a system's whole ``interpret()`` call,
-``score`` spans gold/predicted execution matching).  Instrumented code
-calls :func:`profile_stage(name)`; when no profiler is active the span
-is a shared no-op, so the instrumentation costs a dict lookup on the
-cold path and nothing is ever recorded.
+tokenize → parse → match → rank → compile → execute — each marked with
+:func:`profile_stage(name)`.  Other timed work (schema-index builds,
+columnar kernels, the harness aggregates ``interpret`` and ``score``)
+uses :func:`profile_span(name)`.  When no profiler is active either
+span is a shared no-op, so nothing is ever recorded.
 
 Activation is scoped, not global: ``with profiler.activate(): ...``
 binds the profiler to the current context (via :mod:`contextvars`, so
 concurrent threads/tasks don't interleave their spans).
 
-The same span boundaries double as the **stage hook** seam used by the
-resilient serving layer (:mod:`repro.serve`): ``with stage_hook(fn):``
-arranges for ``fn(stage_name)`` to run every time a stage span opens.
-Hooks may raise (fault injection), sleep (latency injection) or check a
-deadline (cooperative per-stage timeouts); when no hook is installed the
-cost is one contextvar lookup.
+The two differ only in the **stage hook** seam used by the resilient
+serving layer (:mod:`repro.serve`): ``with stage_hook(fn):`` makes
+every :func:`profile_stage` in the block call ``fn(stage_name)`` before
+timing, while :func:`profile_span` only times.  Hooks may raise (fault
+injection), sleep (latency injection) or check a deadline; with no hook
+bound the cost is one contextvar lookup.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -156,17 +155,7 @@ _ACTIVE: ContextVar[Optional[StageProfiler]] = ContextVar(
 )
 
 
-class _NoopSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-_NOOP = _NoopSpan()
+_NOOP = nullcontext()
 
 
 _STAGE_HOOK: ContextVar[Optional[Callable[[str], None]]] = ContextVar(
@@ -175,69 +164,51 @@ _STAGE_HOOK: ContextVar[Optional[Callable[[str], None]]] = ContextVar(
 
 
 @contextmanager
-def stage_hook(hook: Callable[[str], None], chain: bool = False) -> Iterator[None]:
-    """Bind ``hook`` to run at every stage-span boundary in the block.
+def stage_hook(hook: Callable[[str], None]) -> Iterator[None]:
+    """Bind ``hook`` to run at every :func:`profile_stage` in the block.
 
-    The serving layer uses this to inject faults and enforce cooperative
-    deadlines at exactly the pipeline's instrumented stage boundaries
-    (tokenize/parse/match/rank/compile/execute).  A hook that raises
-    aborts the stage before it starts.
-
-    ``chain=True`` composes with, rather than replaces, any hook already
-    bound in the current context: the *outer* hook fires first, then
-    ``hook``.  This is how the concurrent front's preemptive stage guard
-    (armed around a whole request) keeps firing while the resilient
-    service arms its own per-attempt fault/deadline hook inside —
-    guard cancellation outranks fault injection, so a blown deadline
-    cancels the remaining stages no matter what the inner hook does.
+    A hook that raises aborts the stage before it starts.  Hooks nest:
+    inside a block that already has one, the outer hook fires first,
+    then ``hook`` (an outer raise skips it), so the concurrent front's
+    request deadline outranks the service's per-attempt hook.
     """
-    if chain:
-        outer = _STAGE_HOOK.get()
-        if outer is not None:
-            hook = _chain_hooks(outer, hook)
-    token = _STAGE_HOOK.set(hook)
+    outer = _STAGE_HOOK.get()
+
+    def nested(stage: str) -> None:
+        outer(stage)
+        hook(stage)
+
+    token = _STAGE_HOOK.set(hook if outer is None else nested)
     try:
         yield
     finally:
         _STAGE_HOOK.reset(token)
 
 
-def _chain_hooks(
-    outer: Callable[[str], None], inner: Callable[[str], None]
-) -> Callable[[str], None]:
-    """One hook that runs ``outer`` then ``inner`` (outer may raise first)."""
+def profile_stage(name: str):
+    """A stage boundary: fire the bound :func:`stage_hook`, then time.
 
-    def chained(stage: str) -> None:
-        outer(stage)
-        inner(stage)
-
-    return chained
-
-
-def profile_stage(name: str, fire_hook: bool = True):
-    """A timing span on the ambient profiler, or a shared no-op.
-
-    Usage at instrumentation sites::
+    Usage at the six pipeline stage sites::
 
         with profile_stage("rank"):
             ...
 
-    When no profiler is active (the common case) this returns a shared
-    no-op context manager — cheap enough for per-question call sites.
-    An installed :func:`stage_hook` fires first (and may raise), so
-    injected faults surface even when nothing is being profiled.
-
-    ``fire_hook=False`` records the timing span without firing the
-    ambient hook.  Use it for *amortized* work (version-gated cache
-    fills like the schema-index lexicon build) where which request pays
-    the cost is a scheduling accident: letting fault injection or
-    deadline hooks land there would make a request's fault sequence
-    depend on worker cache state, breaking per-request replayability.
+    The hook fires first (and may raise), so injected faults surface
+    even when nothing is being profiled.
     """
-    if fire_hook:
-        hook = _STAGE_HOOK.get()
-        if hook is not None:
-            hook(name)
+    hook = _STAGE_HOOK.get()
+    if hook is not None:
+        hook(name)
+    return profile_span(name)
+
+
+def profile_span(name: str):
+    """A timing span on the ambient profiler, or a shared no-op.
+
+    Never fires the stage hook: which request pays for amortized work
+    (the schema-index build) is a scheduling accident, and a fault
+    landing there would make a request's faults depend on cache state.
+    """
     profiler = _ACTIVE.get()
     if profiler is None:
         return _NOOP

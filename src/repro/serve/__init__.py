@@ -8,9 +8,10 @@ fault-injection harness for testing all of it.  See
 
 On top of the single-threaded service sit the concurrency layers:
 :mod:`repro.serve.concurrent` (worker-pool dispatch with bounded
-admission, preemptive deadline guards, shared thread-safe breakers and
-a serve-layer answer cache) and :mod:`repro.serve.http` (a stdlib
-HTTP/JSON facade: ``POST /query``, ``GET /healthz``).
+admission, per-request deadlines checked at the next stage boundary,
+shared thread-safe breakers and a serve-layer answer cache) and
+:mod:`repro.serve.http` (a stdlib HTTP/JSON facade: ``POST /query``,
+``GET /healthz``).
 """
 
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
@@ -18,7 +19,6 @@ from .concurrent import (
     AnswerCache,
     ConcurrentFront,
     ServeTicket,
-    StageGuard,
     replay_serial,
 )
 from .faults import (
@@ -27,7 +27,6 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     FaultSpec,
-    NoopInjector,
     child_seed,
 )
 from .http import ServeHTTPServer, serve_http
@@ -61,14 +60,12 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "NoAnswer",
-    "NoopInjector",
     "RequestCancelled",
     "ResilientService",
     "ServeHTTPServer",
     "ServeResult",
     "ServeSummary",
     "ServeTicket",
-    "StageGuard",
     "StageTimeout",
     "VERDICT_ANSWERED",
     "VERDICT_CANCELLED",

@@ -4,7 +4,7 @@
 single-threaded — one question at a time, cooperative deadlines.  In
 front of users that is a head-of-line blockade: one slow question stalls
 the whole workload.  :class:`ConcurrentFront` turns the service into a
-bounded, preemptible pool:
+bounded pool whose requests carry deadlines:
 
 - **dispatch** — ``pool_size`` worker threads, each owning its *own*
   service (and interpretation context), drain one shared admission
@@ -19,15 +19,15 @@ bounded, preemptible pool:
   instead.  Every submitted request resolves to exactly one
   :class:`~repro.serve.service.ServeResult` — rejected, cancelled, or
   served — never silently dropped.
-- **per-request deadlines, preemptively guarded** — each request
-  carries an end-to-end deadline from admission.  A request still
-  queued past its deadline is rejected unrun (``rejected_deadline``).
-  A running request gets a :class:`StageGuard` armed through the
-  profiler's ``stage_hook`` seam *around* the service call; a watchdog
-  thread cancels expired guards from outside, so the next stage
-  boundary aborts the remaining stages (verdict ``cancelled``) instead
-  of cooperatively timing out per attempt and then crawling through
-  every fallback.
+- **per-request deadlines** — each request carries an end-to-end
+  deadline from admission.  A request still queued past its deadline
+  is rejected unrun (``rejected_deadline``).  A running request is
+  served under one more stage hook, bound with the profiler's
+  ``stage_hook`` *around* the service call: the first stage boundary
+  past the deadline raises :class:`RequestCancelled`, which aborts
+  the remaining stages and the rest of the fallback chain (verdict
+  ``cancelled``) instead of timing out per attempt and then crawling
+  through every fallback.
 - **replayable faults** — each request derives a child fault injector
   from ``(plan seed, request_id)``
   (:meth:`~repro.serve.faults.FaultInjector.for_request`), so a
@@ -49,14 +49,15 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from contextlib import nullcontext
+from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Tuple
 
 from repro.perf.cache import InterpretationCache
 from repro.perf.profiler import stage_hook
 from repro.sqldb.relation import Relation
 
 from .breaker import CircuitBreaker
-from .faults import FaultEvent, FaultInjector, FaultPlan, NoopInjector
+from .faults import FaultEvent, FaultInjector, FaultPlan
 from .report import ServeSummary
 from .service import (
     VERDICT_ANSWERED,
@@ -74,51 +75,18 @@ from .service import (
 _SENTINEL = object()
 
 
-class StageGuard:
-    """Preemptive cancellation token for one in-flight request.
+def _request_deadline(deadline: Optional[float]) -> ContextManager[None]:
+    """Bind a stage hook that cancels the request at the first stage
+    boundary past ``deadline`` (a :func:`time.monotonic` instant); a
+    no-op without a deadline."""
+    if deadline is None:
+        return nullcontext()
 
-    Armed (via ``stage_hook``) around the whole service call, it turns
-    an external decision — the watchdog noticed the deadline passed, or
-    the front is shutting down — into a :class:`RequestCancelled` at
-    the next stage boundary.  The hook also self-checks the deadline,
-    so cancellation fires even between watchdog ticks.
-    """
+    def hook(stage: str) -> None:
+        if time.monotonic() > deadline:
+            raise RequestCancelled(stage, "request deadline exceeded")
 
-    def __init__(
-        self,
-        deadline: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.deadline = deadline
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._reason: Optional[str] = None
-
-    @property
-    def cancelled(self) -> Optional[str]:
-        """The cancellation reason, or ``None`` while still live."""
-        return self._reason
-
-    def cancel(self, reason: str) -> None:
-        """Cancel the request; the first reason wins, later ones are noise."""
-        with self._lock:
-            if self._reason is None:
-                self._reason = reason
-
-    def expired(self, now: Optional[float] = None) -> bool:
-        """Has the deadline passed (regardless of cancellation state)?"""
-        if self.deadline is None:
-            return False
-        return (self._clock() if now is None else now) > self.deadline
-
-    def hook(self, stage: str) -> None:
-        """Stage-boundary check: raise if cancelled or past deadline."""
-        reason = self._reason
-        if reason is None and self.expired():
-            self.cancel("request deadline exceeded")
-            reason = self._reason
-        if reason is not None:
-            raise RequestCancelled(stage, reason)
+    return stage_hook(hook)
 
 
 class AnswerCache:
@@ -274,16 +242,13 @@ class ConcurrentFront:
     - ``queue_depth`` — admission bound; non-blocking submits beyond it
       are rejected with ``rejected_overload``;
     - ``deadline_s`` — per-request end-to-end budget measured from
-      admission; ``None`` disables deadlines (and the watchdog);
+      admission; ``None`` disables deadlines;
     - ``fault_plan`` — a :class:`~repro.serve.faults.FaultPlan` executed
       via per-request child injectors (replayable at any pool size);
-    - ``answer_cache`` — an :class:`AnswerCache` (or ``None`` to
-      disable).  Consulted only for fault-free requests: cached answers
-      under an active fault plan would shadow the injected faults;
-    - ``share_interpretations`` — additionally share one thread-safe
-      :class:`~repro.perf.cache.InterpretationCache` across all worker
-      contexts (off by default; per-worker contexts already memoize
-      locally);
+    - ``cache_answers`` — memoize clean answers in an
+      :class:`AnswerCache`.  Consulted only for fault-free requests:
+      cached answers under an active fault plan would shadow the
+      injected faults;
     - ``service_kwargs`` — forwarded to every worker's
       :class:`~repro.serve.service.ResilientService` (retries,
       backoff_s, timeout_s, failure_threshold, ...).
@@ -301,11 +266,7 @@ class ConcurrentFront:
         deadline_s: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
         fault_sleep: Callable[[float], None] = time.sleep,
-        answer_cache: Optional[AnswerCache] = None,
         cache_answers: bool = True,
-        share_interpretations: bool = False,
-        watchdog_interval_s: float = 0.005,
-        clock: Callable[[], float] = time.monotonic,
         **service_kwargs: Any,
     ):
         if (context_factory is None) == (service_factory is None):
@@ -320,23 +281,9 @@ class ConcurrentFront:
         self.queue_depth = queue_depth
         self.deadline_s = deadline_s
         self.fault_plan = fault_plan
-        self._clock = clock
-        self._watchdog_interval_s = watchdog_interval_s
         self.breakers: Dict[str, CircuitBreaker] = {}
-        self.answer_cache = (
-            answer_cache if answer_cache is not None else (AnswerCache() if cache_answers else None)
-        )
-        self._shared_interpretations = (
-            InterpretationCache(maxsize=4096, threadsafe=True)
-            if share_interpretations
-            else None
-        )
-        if fault_plan is not None and fault_plan.specs:
-            self._template: Union[FaultInjector, NoopInjector] = FaultInjector(
-                fault_plan, sleep=fault_sleep
-            )
-        else:
-            self._template = NoopInjector()
+        self.answer_cache = AnswerCache() if cache_answers else None
+        self._template = FaultInjector(fault_plan or FaultPlan(), sleep=fault_sleep)
         if service_factory is not None:
             self._service_factory = service_factory
         else:
@@ -346,10 +293,8 @@ class ConcurrentFront:
             )
         self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=queue_depth)
         self._workers: List[threading.Thread] = []
-        self._watchdog: Optional[threading.Thread] = None
-        self._inflight: Dict[int, StageGuard] = {}
+        self._inflight = 0
         self._lock = threading.Lock()
-        self._stop_event = threading.Event()
         self._started = False
         self._closed = False
         self._next_id = 0
@@ -363,18 +308,13 @@ class ConcurrentFront:
             "worker_errors": 0,
         }
 
+    @staticmethod
     def _default_factory(
-        self,
         context_factory: Callable[[], Any],
         service_kwargs: Dict[str, Any],
     ) -> Callable[[Dict[str, CircuitBreaker]], Any]:
-        shared_interp = self._shared_interpretations
-
         def factory(breakers: Dict[str, CircuitBreaker]) -> ResilientService:
-            context = context_factory()
-            if shared_interp is not None and context.interpretation_cache is None:
-                context.interpretation_cache = shared_interp
-            return ResilientService(context, breakers=breakers, **service_kwargs)
+            return ResilientService(context_factory(), breakers=breakers, **service_kwargs)
 
         return factory
 
@@ -393,7 +333,7 @@ class ConcurrentFront:
             return self._started and not self._closed
 
     def start(self) -> "ConcurrentFront":
-        """Spin up the worker pool (and watchdog, if deadlines are on)."""
+        """Spin up the worker pool."""
         with self._lock:
             if self._started:
                 raise RuntimeError("front already started")
@@ -404,11 +344,6 @@ class ConcurrentFront:
             )
             worker.start()
             self._workers.append(worker)
-        if self.deadline_s is not None:
-            self._watchdog = threading.Thread(
-                target=self._watchdog_loop, name="serve-watchdog", daemon=True
-            )
-            self._watchdog.start()
         return self
 
     def stop(self) -> None:
@@ -422,9 +357,6 @@ class ConcurrentFront:
             self._queue.put(_SENTINEL)
         for worker in self._workers:
             worker.join()
-        self._stop_event.set()
-        if self._watchdog is not None:
-            self._watchdog.join()
 
     def __enter__(self) -> "ConcurrentFront":
         return self.start()
@@ -452,7 +384,7 @@ class ConcurrentFront:
             request_id = self._next_id
             self._next_id += 1
             self.counters["submitted"] += 1
-        now = self._clock()
+        now = time.monotonic()
         deadline = None if self.deadline_s is None else now + self.deadline_s
         ticket = ServeTicket(request_id, question, system, now, deadline)
         try:
@@ -491,7 +423,7 @@ class ConcurrentFront:
             requested_system=ticket.system or "",
             verdict=verdict,
         )
-        result.queued_s = max(0.0, self._clock() - ticket.enqueued_at)
+        result.queued_s = max(0.0, time.monotonic() - ticket.enqueued_at)
         result.fault_trace.append(FaultEvent("admission", "rejected", reason))
         return result
 
@@ -516,7 +448,7 @@ class ConcurrentFront:
                 item.resolve(result)
 
     def _run_ticket(self, service: Any, ticket: ServeTicket) -> None:
-        now = self._clock()
+        now = time.monotonic()
         queued_s = max(0.0, now - ticket.enqueued_at)
         if ticket.deadline is not None and now > ticket.deadline:
             result = self._rejection(
@@ -529,7 +461,7 @@ class ConcurrentFront:
             ticket.resolve(result)
             return
         injector = self._template.for_request(ticket.request_id)
-        clean = isinstance(injector, NoopInjector)
+        clean = not injector.plan.specs
         version = self._data_version(service)
         if self.answer_cache is not None and clean and version is not None:
             hit = self.answer_cache.get(ticket.question, version, ticket.system)
@@ -540,11 +472,10 @@ class ConcurrentFront:
                     self.counters["completed"] += 1
                 ticket.resolve(hit)
                 return
-        guard = StageGuard(ticket.deadline, clock=self._clock)
         with self._lock:
-            self._inflight[ticket.request_id] = guard
+            self._inflight += 1
         try:
-            with stage_hook(guard.hook):
+            with _request_deadline(ticket.deadline):
                 result = service.ask(
                     ticket.question,
                     ticket.system,
@@ -552,12 +483,12 @@ class ConcurrentFront:
                     request_id=ticket.request_id,
                 )
         except RequestCancelled as exc:
-            # ResilientService converts guard cancellation itself; this
+            # ResilientService converts the cancellation itself; this
             # catches it escaping simpler (e.g. scripted) services.
             result = self._rejection(ticket, VERDICT_CANCELLED, str(exc))
         finally:
             with self._lock:
-                self._inflight.pop(ticket.request_id, None)
+                self._inflight -= 1
         result.queued_s = queued_s
         if self.answer_cache is not None and clean and version is not None:
             self.answer_cache.put(ticket.question, version, result, ticket.system)
@@ -574,24 +505,13 @@ class ConcurrentFront:
         database = getattr(context, "database", None)
         return getattr(database, "data_version", None)
 
-    def _watchdog_loop(self) -> None:
-        """Cancel in-flight guards whose deadline passed — the preemptive
-        half of deadline enforcement (the guard hook is the enforcing
-        half, at the next stage boundary)."""
-        while not self._stop_event.wait(self._watchdog_interval_s):
-            now = self._clock()
-            with self._lock:
-                expired = [g for g in self._inflight.values() if g.expired(now)]
-            for guard in expired:
-                guard.cancel("request deadline exceeded")
-
     # -- health ---------------------------------------------------------------
 
     def healthz(self) -> Dict[str, Any]:
         """Operator snapshot: pool, queue, breakers, counters, caches."""
         with self._lock:
             counters = dict(self.counters)
-            inflight = len(self._inflight)
+            inflight = self._inflight
             started, closed = self._started, self._closed
         breakers = {name: b.snapshot() for name, b in sorted(self.breakers.items())}
         open_count = sum(1 for b in breakers.values() if b["state"] != "closed")
@@ -634,12 +554,7 @@ def replay_serial(
     position), so its results are what a pool of any size must
     reproduce.
     """
-    if fault_plan is not None and fault_plan.specs:
-        template: Union[FaultInjector, NoopInjector] = FaultInjector(
-            fault_plan, sleep=fault_sleep
-        )
-    else:
-        template = NoopInjector()
+    template = FaultInjector(fault_plan or FaultPlan(), sleep=fault_sleep)
     results = []
     for request_id, question in enumerate(questions):
         results.append(

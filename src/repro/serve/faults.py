@@ -4,10 +4,11 @@ The survey's open challenges (§6) call for NLIDBs that *degrade
 gracefully* — which is only credible if degradation is testable.  This
 module makes failure reproducible: a :class:`FaultPlan` describes which
 pipeline stages fail, how, and how often; a :class:`FaultInjector`
-executes the plan by hooking the profiler's span boundaries
-(:func:`repro.perf.profiler.stage_hook`), so faults land at exactly the
-stages every system already instruments — tokenize, parse, match, rank,
-compile, execute — without any system-specific plumbing.
+executes the plan as a stage hook (:func:`repro.perf.profiler.stage_hook`),
+so faults land at exactly the stage boundaries every system already
+marks with :func:`~repro.perf.profiler.profile_stage` — tokenize,
+parse, match, rank, compile, execute — without any system-specific
+plumbing.  A plan naming any other stage is rejected at parse time.
 
 Three fault kinds are supported:
 
@@ -44,14 +45,12 @@ from __future__ import annotations
 
 import random
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
-from repro.perf.profiler import STAGE_ORDER, stage_hook
-
-#: stages a plan may name; ``*`` matches all of them
-KNOWN_STAGES: Tuple[str, ...] = tuple(STAGE_ORDER)
+#: stages a plan may name — the boundaries that fire the stage hook
+#: (:func:`repro.perf.profiler.profile_stage`); ``*`` matches all of them
+KNOWN_STAGES: Tuple[str, ...] = ("tokenize", "parse", "match", "rank", "compile", "execute")
 
 _KINDS = ("error", "latency", "corrupt")
 
@@ -185,15 +184,17 @@ class FaultEvent:
 class FaultInjector:
     """Executes a :class:`FaultPlan` deterministically.
 
-    Use :meth:`active` around a pipeline call to arm the stage hook::
+    Bind :meth:`on_stage` as the stage hook around a pipeline call::
 
         injector = FaultInjector(FaultPlan.parse("execute:error:0.5", seed=7))
-        with injector.active():
-            system.interpret(question, context)   # may raise FaultInjected
+        with stage_hook(injector.on_stage):
+            context.interpret(system, question)   # may raise FaultInjected
 
     Every injected fault is appended to :attr:`events` whether or not
     the caller survives it, so a serve report can show the full fault
-    sequence.  ``sleep`` is injectable for tests.
+    sequence.  An empty plan (``FaultInjector(FaultPlan())``) injects
+    nothing and never draws from its RNG: that is the disabled path.
+    ``sleep`` is injectable for tests.
     """
 
     def __init__(self, plan: FaultPlan, sleep=time.sleep):
@@ -232,12 +233,6 @@ class FaultInjector:
                 self.events.append(FaultEvent(stage, "error", "raised FaultInjected"))
                 raise FaultInjected(stage)
 
-    @contextmanager
-    def active(self) -> Iterator["FaultInjector"]:
-        """Arm :meth:`on_stage` as the ambient stage hook."""
-        with stage_hook(self.on_stage):
-            yield self
-
     # -- interpretation corruption -------------------------------------------
 
     def maybe_corrupt(self, interpretations: Sequence[Any]) -> List[Any]:
@@ -266,32 +261,3 @@ class FaultInjector:
         events, self.events = self.events, []
         return events
 
-
-class NoopInjector:
-    """Injector-shaped object that never injects (the disabled path).
-
-    Using it keeps the serving layer free of ``if injector`` branches
-    while guaranteeing byte-identical results to direct system calls.
-    """
-
-    plan = FaultPlan()
-
-    def __init__(self) -> None:
-        self.events: List[FaultEvent] = []
-
-    def for_request(self, request_id: int) -> "NoopInjector":
-        """Children of a no-op are no-ops (mirrors the real injector)."""
-        return NoopInjector()
-
-    @contextmanager
-    def active(self) -> Iterator["NoopInjector"]:
-        yield self
-
-    def on_stage(self, stage: str) -> None:  # pragma: no cover - never armed
-        return None
-
-    def maybe_corrupt(self, interpretations: Sequence[Any]) -> List[Any]:
-        return list(interpretations)
-
-    def drain_events(self) -> List[FaultEvent]:
-        return []

@@ -27,16 +27,16 @@ For concurrent use (:mod:`repro.serve.concurrent`), ``ask()`` accepts a
 per-call injector (each request owns its fault RNG) and the breaker
 registry can be shared across service instances — breakers lock their
 transitions, so many workers feeding one registry stay consistent.  A
-:class:`RequestCancelled` raised by a preemptive stage guard aborts the
-*whole chain*, not just the current system: the request's deadline is
-gone, so trying fallbacks would only burn pool capacity.
+:class:`RequestCancelled` raised by the front's request-deadline hook
+aborts the *whole chain*, not just the current system: the request's
+deadline is gone, so trying fallbacks would only burn pool capacity.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import NLIDBContext, NLIDBSystem
 from repro.core.ranking import apply_static_analysis
@@ -45,7 +45,7 @@ from repro.perf.profiler import stage_hook
 from repro.sqldb.relation import Relation
 
 from .breaker import CircuitBreaker
-from .faults import FaultEvent, FaultInjected, FaultInjector, NoopInjector
+from .faults import FaultEvent, FaultInjected, FaultInjector, FaultPlan
 
 #: default graceful-degradation order: ontology-driven interpretation,
 #: then SQL-aware keyword patterns, then bare keyword search — each link
@@ -66,7 +66,7 @@ VERDICT_FAILED = "failed"
 VERDICT_OVERLOAD = "rejected_overload"
 #: admission control refused the request: its deadline passed in queue
 VERDICT_DEADLINE = "rejected_deadline"
-#: a preemptive stage guard cancelled the request mid-flight
+#: the request's deadline passed mid-flight; the chain was abandoned
 VERDICT_CANCELLED = "cancelled"
 
 
@@ -87,13 +87,12 @@ class StageTimeout(Exception):
 
 
 class RequestCancelled(Exception):
-    """A preemptive stage guard cancelled the request.
+    """The request's end-to-end deadline passed at a stage boundary.
 
-    Raised by the concurrent front's :class:`~repro.serve.concurrent.
-    StageGuard` hook when the request's end-to-end deadline blew (or the
-    front is shutting down).  Unlike :class:`StageTimeout` — a
-    per-attempt budget that fails over to the next system — this aborts
-    the whole fallback chain: the caller's deadline is already gone.
+    Raised by the concurrent front's request-deadline stage hook.
+    Unlike :class:`StageTimeout` — a per-attempt budget that fails over
+    to the next system — this aborts the whole fallback chain: the
+    caller's deadline is already gone.
     """
 
     def __init__(self, stage: str, reason: str):
@@ -213,7 +212,7 @@ class ResilientService:
         timeout_s: Optional[float] = None,
         failure_threshold: int = 3,
         recovery_s: float = 30.0,
-        injector: Optional[Union[FaultInjector, NoopInjector]] = None,
+        injector: Optional[FaultInjector] = None,
         breakers: Optional[Dict[str, CircuitBreaker]] = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
@@ -228,7 +227,7 @@ class ResilientService:
         self.timeout_s = timeout_s
         self.failure_threshold = failure_threshold
         self.recovery_s = recovery_s
-        self.injector: Union[FaultInjector, NoopInjector] = injector or NoopInjector()
+        self.injector = injector or FaultInjector(FaultPlan())
         self._sleep = sleep
         self._clock = clock
         self._systems: Dict[str, NLIDBSystem] = {}
@@ -274,13 +273,13 @@ class ResilientService:
         question: str,
         system: Optional[str] = None,
         *,
-        injector: Optional[Union[FaultInjector, NoopInjector]] = None,
+        injector: Optional[FaultInjector] = None,
         request_id: Optional[int] = None,
     ) -> ServeResult:
         """Serve ``question``, degrading along the fallback chain.
 
         Never raises: every failure mode — injected fault, timeout, open
-        breaker, guard cancellation, unanswerable question, even a chain
+        breaker, deadline cancellation, unanswerable question, even a chain
         where all systems fail — lands in the returned
         :class:`ServeResult`.
 
@@ -339,7 +338,7 @@ class ResilientService:
         name: str,
         question: str,
         result: ServeResult,
-        injector: Union[FaultInjector, NoopInjector],
+        injector: FaultInjector,
     ) -> Optional[Tuple[Relation, Optional[str], Optional[str]]]:
         """Try one system with retries; ``None`` means it failed and the
         reason has been recorded on ``result``."""
@@ -383,16 +382,16 @@ class ResilientService:
         self,
         name: str,
         question: str,
-        injector: Union[FaultInjector, NoopInjector],
+        injector: FaultInjector,
     ) -> Tuple[Relation, Optional[str], Optional[str]]:
         """One end-to-end attempt, mirroring ``NLIDBSystem.answer``.
 
         The only differences from a direct ``answer()`` call are the
-        armed stage hook (faults + deadline — inert when the injector is
-        a no-op and no timeout is set) and that failures raise instead
+        bound stage hook (faults + deadline — inert when the plan is
+        empty and no timeout is set) and that failures raise instead
         of collapsing to ``None``, so the caller can classify them.
-        The hook chains onto any ambient hook, so a preemptive stage
-        guard armed by the concurrent front keeps firing underneath.
+        The hook nests inside any hook already bound, so the concurrent
+        front's request deadline keeps firing first.
         """
         system = self.system(name)
         deadline = (
@@ -404,7 +403,7 @@ class ResilientService:
             if deadline is not None and self._clock() > deadline:
                 raise StageTimeout(stage, self.timeout_s)
 
-        with stage_hook(hook, chain=True):
+        with stage_hook(hook):
             interpretations = self.context.interpret(system, question)
             interpretations = injector.maybe_corrupt(interpretations)
             if not interpretations:

@@ -85,7 +85,7 @@ from .functions import AGGREGATE_FUNCTIONS, call_scalar
 from .types import DataType, iso_date_or_none, values_compare, values_equal
 
 from ..perf.cache import LRUCache
-from ..perf.profiler import active_profiler
+from ..perf.profiler import profile_span
 
 #: Rows per predicate-evaluation step.  On the million-row telemetry
 #: table (2-vCPU VM, medians of 5 alternating processes per setting),
@@ -786,18 +786,6 @@ class _WhereCompiler:
 # ---------------------------------------------------------------------------
 
 
-class _NoopSpan:
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: Any) -> None:
-        return None
-
-
-_NOOP_SPAN = _NoopSpan()
-
 _NO_FAST = object()  # sentinel: no exact vectorized aggregate, use the list path
 
 
@@ -942,7 +930,7 @@ class ColumnarEngine:
         table = ex.database.table(compiled.table)
         store = table.column_store()
         n = store.n_rows
-        with self._span("columnar-scan"):
+        with profile_span("columnar-scan"):
             if compiled.pred is None:
                 idx = np.arange(n, dtype=np.int64)
             else:
@@ -957,10 +945,10 @@ class ColumnarEngine:
                 stmt, compiled, store, table.schema, rows_list, idx, parent
             )
         elif compiled.fast_items is not None:
-            with self._span("columnar-project"):
+            with profile_span("columnar-project"):
                 rows, order_rows = self._fast_gather(compiled, rows_list, idx)
         else:
-            with self._span("columnar-project"):
+            with profile_span("columnar-project"):
                 scopes = [
                     self._scope_cls(
                         [(compiled.binding, table.schema, rows_list[i])], parent
@@ -1116,15 +1104,6 @@ class ColumnarEngine:
 
     # -- scanning -----------------------------------------------------------
 
-    def _span(self, name: str) -> Any:
-        # Direct profiler spans (not profile_stage): stage hooks are the
-        # serving layer's fault-injection seam and must not fire for
-        # engine-internal kernels.
-        profiler = active_profiler()
-        if profiler is None:
-            return _NOOP_SPAN
-        return profiler.span(name)
-
     def _filter(self, store: ColumnStore, pred: _Kernel, n: int) -> Any:
         """Ascending indices of the rows where ``pred`` is TRUE, evaluated
         in ``_CHUNK_ROWS`` steps (an empty table is one empty step)."""
@@ -1190,13 +1169,13 @@ class ColumnarEngine:
         parent: Any,
     ) -> Tuple[List[tuple], List[tuple]]:
         ex = self._ex
-        with self._span("columnar-group"):
+        with profile_span("columnar-group"):
             group_arrays = self._group_indices(compiled, store, idx)
             ctxs = [
                 _GroupCtx(self, compiled, store, schema, rows_list, gidx, parent)
                 for gidx in group_arrays
             ]
-        with self._span("columnar-aggregate"):
+        with profile_span("columnar-aggregate"):
             alias_map = ex._alias_exprs(stmt)
             rows: List[tuple] = []
             order_rows: List[tuple] = []

@@ -18,10 +18,12 @@ from repro.perf import (
     active_profiler,
     memoize,
     normalize_question,
+    profile_span,
     profile_stage,
     stats_for,
 )
 from repro.perf.cache import MISSING
+from repro.perf.profiler import stage_hook
 from repro.sqldb import Column, Database, DataType, TableSchema, parse_select
 
 
@@ -294,6 +296,42 @@ class TestStageProfiler:
         as_dict = profiler.as_dict()
         assert as_dict["execute"]["calls"] == 1
         assert "execute" in profiler.report()
+
+    def test_nested_hooks_fire_outer_then_inner(self):
+        fired = []
+        with stage_hook(lambda stage: fired.append(("outer", stage))):
+            with stage_hook(lambda stage: fired.append(("inner", stage))):
+                with profile_stage("match"):
+                    pass
+            # leaving the inner block restores the outer hook alone
+            with profile_stage("rank"):
+                pass
+        assert fired == [("outer", "match"), ("inner", "match"), ("outer", "rank")]
+
+    def test_outer_hook_raise_skips_inner(self):
+        inner = []
+
+        def outer(stage):
+            raise RuntimeError(f"stop at {stage}")
+
+        with stage_hook(outer):
+            with stage_hook(inner.append):
+                with pytest.raises(RuntimeError, match="stop at execute"):
+                    with profile_stage("execute"):
+                        pass
+        assert inner == []
+
+    def test_profile_span_times_without_firing_the_hook(self):
+        fired = []
+        profiler = StageProfiler()
+        with profiler.activate(), stage_hook(fired.append):
+            with profile_span("schema_index"):
+                pass
+            with profile_stage("compile"):
+                pass
+        assert fired == ["compile"]
+        assert profiler.stages["schema_index"].calls == 1
+        assert profiler.stages["compile"].calls == 1
 
 
 class TestEvaluationCache:

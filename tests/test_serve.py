@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 import repro.systems  # noqa: F401  (imported to populate the registry)
+from repro.bench.workload_gen import build_telemetry_db
 from repro.core.registry import create
+from repro.perf.parallel import ContextSpec
+from repro.perf.profiler import StageProfiler, stage_hook
 from repro.serve import (
     CLOSED,
     HALF_OPEN,
@@ -14,12 +17,12 @@ from repro.serve import (
     FaultInjected,
     FaultInjector,
     FaultPlan,
-    NoopInjector,
     ResilientService,
     ServeResult,
     serve_workload,
 )
-from repro.serve.faults import CorruptedInterpretation
+from repro.serve.faults import KNOWN_STAGES, CorruptedInterpretation
+from repro.sqldb.executor import Executor
 
 
 class FakeClock:
@@ -59,6 +62,10 @@ class TestFaultPlan:
             "execute:frobnicate:0.5",  # unknown kind
             "execute:error:1.5",  # rate out of range
             "execute:error",  # too few fields
+            # timed, but never a stage-hook boundary
+            "schema_index:error:1.0",
+            "interpret:error:1.0",
+            "score:error:1.0",
         ],
     )
     def test_parse_rejects_bad_specs(self, text):
@@ -109,10 +116,28 @@ class TestFaultInjector:
             out[0].to_sql(None, None)
 
     def test_noop_injector_never_changes_anything(self):
-        noop = NoopInjector()
+        noop = FaultInjector(FaultPlan())
+        state = noop._rng.getstate()
         noop.on_stage("execute")
         assert noop.maybe_corrupt(["x"]) == ["x"]
         assert noop.drain_events() == []
+        assert noop._rng.getstate() == state  # nothing drawn
+
+    def test_only_known_stages_fire_the_hook(self):
+        # Cold asks on a fresh context build the schema index, and the
+        # telemetry scan runs the columnar kernels: both are timed, but
+        # only the six stage boundaries may reach a hook.
+        seen = set()
+        profiler = StageProfiler()
+        service = ResilientService(ContextSpec("retail", seed=0).build())
+        executor = Executor(build_telemetry_db(2_000, seed=0))
+        with profiler.activate(), stage_hook(seen.add):
+            for question in ("how many customers are there", "total price of all products"):
+                service.ask(question)
+            executor.execute_sql("SELECT COUNT(*) FROM telemetry WHERE duration_ms > 100")
+        assert executor.last_stats.vectorized == 1
+        assert {"schema_index", "columnar-scan"} <= set(profiler.stages)
+        assert seen and seen <= set(KNOWN_STAGES)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ Proves the PR-8 contract:
 - admission control is conservative — the queue bound is never
   exceeded, rejections carry typed verdicts, and no request is ever
   silently dropped (hypothesis-driven interleavings);
-- preemptive stage guards cancel a blown deadline mid-request;
+- a blown request deadline cancels the request at the next stage
+  boundary;
 - the serve-layer answer cache returns exactly what recomputation
   would, and is bypassed whenever faults are active.
 """
@@ -46,11 +47,8 @@ from repro.serve import (
     FaultInjected,
     FaultInjector,
     FaultPlan,
-    NoopInjector,
-    RequestCancelled,
     ResilientService,
     ServeResult,
-    StageGuard,
     child_seed,
     latency_percentiles,
     replay_serial,
@@ -376,8 +374,8 @@ class TestChildSeeding:
         assert len(traces) > 1
 
     def test_noop_children_are_noops(self):
-        child = NoopInjector().for_request(3)
-        assert isinstance(child, NoopInjector)
+        child = FaultInjector(FaultPlan()).for_request(3)
+        assert child.plan.specs == ()
         child.on_stage("execute")  # must not raise
         assert child.drain_events() == []
 
@@ -406,13 +404,6 @@ class TestConcurrentByteIdentity:
         assert [project(r) for r in results] == serial_baselines[plan_key]
         assert summary.total == len(uni_questions)
         assert summary.rejected == 0  # blocking submits: backpressure, not drops
-
-    def test_identity_with_shared_interpretation_cache(
-        self, uni_questions, serial_baselines
-    ):
-        with make_front(4, None, share_interpretations=True) as front:
-            results, _ = front.serve_many(uni_questions, "athena")
-        assert [project(r) for r in results] == serial_baselines["clean"]
 
     def test_identity_with_default_chain_head(self, uni_questions):
         service = ResilientService(
@@ -479,6 +470,7 @@ class TestAdmissionControl:
             results = [t.wait(timeout=30) for t in tickets]
         # conservation: every submission resolves, with a typed verdict
         assert len(results) == n_requests
+        assert front.healthz()["inflight"] == 0
         assert all(r.verdict in TYPED_VERDICTS for r in results)
         counters = front.counters
         assert counters["submitted"] == n_requests
@@ -537,6 +529,7 @@ class TestAdmissionControl:
         with front:
             first = front.submit("held")  # occupies the worker...
             assert holder["service"].entered.acquire(timeout=5)  # ...for sure
+            assert front.healthz()["inflight"] == 1
             second = front.submit("queued")  # fills the queue
             third = front.submit("rejected")  # no room: typed rejection
             assert third.done, "overload rejection must resolve synchronously"
@@ -613,35 +606,11 @@ class TestAdmissionControl:
 
 
 # ---------------------------------------------------------------------------
-# Preemptive stage guards
+# Request deadlines, checked at the next stage boundary
 # ---------------------------------------------------------------------------
 
 
 class TestStageGuard:
-    def test_hook_passes_while_live_raises_after_cancel(self):
-        guard = StageGuard()
-        guard.hook("execute")  # live: no-op
-        guard.cancel("operator said so")
-        with pytest.raises(RequestCancelled) as err:
-            guard.hook("rank")
-        assert err.value.stage == "rank"
-        assert "operator said so" in err.value.reason
-
-    def test_first_cancellation_reason_wins(self):
-        guard = StageGuard()
-        guard.cancel("first")
-        guard.cancel("second")
-        assert guard.cancelled == "first"
-
-    def test_hook_self_checks_deadline(self):
-        clock_now = [0.0]
-        guard = StageGuard(deadline=1.0, clock=lambda: clock_now[0])
-        guard.hook("parse")
-        clock_now[0] = 2.0
-        assert guard.expired()
-        with pytest.raises(RequestCancelled):
-            guard.hook("match")
-
     def test_guard_cancels_request_mid_flight(self):
         front = ConcurrentFront(
             service_factory=lambda breakers: StagedSlowService(breakers, 0.005, 200),
