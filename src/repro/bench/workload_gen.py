@@ -235,11 +235,11 @@ def build_workload(
 def build_customers_orders(
     n_customers: int, n_orders: int, seed: int = 0, name: str = "p1"
 ) -> Database:
-    """The P1 benchmark's customers/orders pair, loaded via bulk insert.
+    """The planner benchmark's customers/orders pair, loaded via bulk insert.
 
-    Kept here so planner benchmarks share one generator module; value
-    distributions match the original ``bench_p1_executor_planner``
-    builder (``random.Random(seed)``, same column layouts).
+    Kept here so planner benchmarks (``benchmarks/bench_perf.py
+    planner``) share one generator module; ``random.Random(seed)`` draws
+    every value, so a seed fixes both tables.
     """
     rng = random.Random(seed)
     db = Database(name)

@@ -606,6 +606,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "inject", ""):
+        from repro.serve import FaultPlan
+
+        try:
+            FaultPlan.parse(args.inject)
+        except ValueError as exc:
+            parser.error(f"--inject: {exc}")
     try:
         return args.func(args)
     except BrokenPipeError:  # e.g. piping into `head`

@@ -33,7 +33,6 @@ from __future__ import annotations
 import copy
 import functools
 import re
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, TypeVar
@@ -223,25 +222,11 @@ class InterpretationCache:
     interpretations are mutable (ranking rescoring, static-analysis
     penalties, lazy SQL compilation), and a shared object would let one
     caller's mutation corrupt every later hit.
-
-    ``threadsafe=True`` guards the underlying LRU with a lock so the
-    cache can be shared across serving workers: the ordered-dict
-    move-to-front and eviction sequences are not atomic, and two
-    unsynchronized writers can interleave them into lost entries or an
-    eviction underflow.  The deep copies already isolate *values*
-    between threads; the lock only protects the bookkeeping.  Single
-    threaded users pay nothing by default.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 2048,
-        stats: Optional[CacheStats] = None,
-        threadsafe: bool = False,
-    ):
+    def __init__(self, maxsize: int = 2048, stats: Optional[CacheStats] = None):
         self.stats = stats if stats is not None else CacheStats()
         self._lru = LRUCache(maxsize, self.stats)
-        self._lock = threading.Lock() if threadsafe else None
 
     @staticmethod
     def key(system: str, question: str, version: int) -> Tuple[str, str, int]:
@@ -253,12 +238,7 @@ class InterpretationCache:
 
         An empty list is a valid cached value (the system abstained).
         """
-        key = self.key(system, question, version)
-        if self._lock is not None:
-            with self._lock:
-                value = self._lru.get(key, _MISS)
-        else:
-            value = self._lru.get(key, _MISS)
+        value = self._lru.get(self.key(system, question, version), _MISS)
         if value is _MISS:
             return None
         return copy.deepcopy(value)
@@ -267,20 +247,10 @@ class InterpretationCache:
         self, system: str, question: str, version: int, interpretations: List[Any]
     ) -> None:
         """Store a snapshot of ``interpretations``."""
-        key = self.key(system, question, version)
-        value = copy.deepcopy(interpretations)
-        if self._lock is not None:
-            with self._lock:
-                self._lru.put(key, value)
-        else:
-            self._lru.put(key, value)
+        self._lru.put(self.key(system, question, version), copy.deepcopy(interpretations))
 
     def clear(self) -> None:
-        if self._lock is not None:
-            with self._lock:
-                self._lru.clear()
-        else:
-            self._lru.clear()
+        self._lru.clear()
 
     def __len__(self) -> int:
         return len(self._lru)

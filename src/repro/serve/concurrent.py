@@ -36,9 +36,8 @@ bounded pool whose requests carry deadlines:
   reference).
 - **answer cache** — clean, fault-free results are memoized in an
   :class:`AnswerCache` keyed on ``(normalized question, data_version)``
-  — built on :class:`repro.perf.cache.InterpretationCache`, so the
-  key discipline (and staleness-by-construction invalidation) is the
-  same one the interpretation layer already proved out.  The cache
+  — the key discipline (and staleness-by-construction invalidation)
+  the interpretation layer already proved out.  The cache
   spans the whole fallback chain: a degraded-but-deterministic answer
   (primary abstained, fallback answered) is cached with its
   ``degraded_from`` trail intact.
@@ -46,13 +45,14 @@ bounded pool whose requests carry deadlines:
 
 from __future__ import annotations
 
+import copy
 import queue
 import threading
 import time
 from contextlib import nullcontext
 from typing import Any, Callable, ContextManager, Dict, List, Optional, Sequence, Tuple
 
-from repro.perf.cache import InterpretationCache
+from repro.perf.cache import LRUCache, normalize_question
 from repro.perf.profiler import stage_hook
 from repro.sqldb.relation import Relation
 
@@ -92,15 +92,15 @@ def _request_deadline(deadline: Optional[float]) -> ContextManager[None]:
 class AnswerCache:
     """Serve-layer memo of clean end-of-chain answers.
 
-    Reuses :class:`~repro.perf.cache.InterpretationCache` (thread-safe
-    mode) as the store: keys are ``(slot, normalized question,
-    data_version)`` where the slot encodes the requested system — a
-    question asked with a different chain head may degrade differently,
-    so the entries must not alias.  Values are the full reconstruction
-    recipe for a :class:`ServeResult` (answer columns/rows, sql,
-    explanation, degradation trail); the interpretation cache's
-    deep-copy-on-both-sides discipline keeps entries immune to caller
-    mutation.
+    A locked :class:`~repro.perf.cache.LRUCache` keyed on ``(requested
+    system, normalized question, data_version)``: a question asked with
+    a different chain head may degrade differently, so the entries must
+    not alias.  Values are the full reconstruction recipe for a
+    :class:`ServeResult` (answer columns/rows, sql, explanation,
+    degradation trail), deep-copied on put and on get so entries are
+    immune to caller mutation.  The lock guards the LRU's move-to-front
+    and eviction sequences, which workers sharing the cache would
+    otherwise interleave.
 
     Only *deterministic* results are cached: ``ok`` results with no
     injected faults and no retries.  Anything fault-shaped depends on
@@ -108,12 +108,13 @@ class AnswerCache:
     """
 
     def __init__(self, maxsize: int = 2048):
-        self._cache = InterpretationCache(maxsize=maxsize, threadsafe=True)
-        self.stats = self._cache.stats
+        self._lru = LRUCache(maxsize)
+        self._lock = threading.Lock()
+        self.stats = self._lru.stats
 
     @staticmethod
-    def _slot(requested_system: Optional[str]) -> str:
-        return f"__serve_answer__:{requested_system or ''}"
+    def _key(question: str, version: int, requested_system: Optional[str]) -> Tuple:
+        return (requested_system or "", normalize_question(question), version)
 
     @staticmethod
     def cacheable(result: ServeResult) -> bool:
@@ -129,10 +130,11 @@ class AnswerCache:
         self, question: str, version: int, requested_system: Optional[str] = None
     ) -> Optional[ServeResult]:
         """A reconstructed hit (marked ``cached=True``), or ``None``."""
-        found = self._cache.get(self._slot(requested_system), question, version)
-        if not found:
+        with self._lock:
+            payload = self._lru.get(self._key(question, version, requested_system))
+        if payload is None:
             return None
-        payload = found[0]
+        payload = copy.deepcopy(payload)
         return ServeResult(
             question=question,
             requested_system=payload["requested_system"],
@@ -141,7 +143,7 @@ class AnswerCache:
             answer=Relation(payload["columns"], payload["rows"]),
             sql=payload["sql"],
             explanation=payload["explanation"],
-            degraded_from=list(payload["degraded_from"]),
+            degraded_from=payload["degraded_from"],
             verdict=VERDICT_DEGRADED if payload["degraded_from"] else VERDICT_ANSWERED,
             cached=True,
         )
@@ -157,19 +159,20 @@ class AnswerCache:
         if not self.cacheable(result):
             return
         assert result.answer is not None
-        payload = {
+        payload = copy.deepcopy({
             "requested_system": result.requested_system,
             "system": result.system,
-            "columns": list(result.answer.columns),
-            "rows": list(result.answer.rows),
+            "columns": result.answer.columns,
+            "rows": result.answer.rows,
             "sql": result.sql,
             "explanation": result.explanation,
-            "degraded_from": list(result.degraded_from),
-        }
-        self._cache.put(self._slot(requested_system), question, version, [payload])
+            "degraded_from": result.degraded_from,
+        })
+        with self._lock:
+            self._lru.put(self._key(question, version, requested_system), payload)
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return len(self._lru)
 
 
 class ServeTicket:

@@ -98,6 +98,9 @@ class ServeRequestHandler(BaseHTTPRequestHandler):
 
     server: "ServeHTTPServer"
     protocol_version = "HTTP/1.1"
+    #: headers and body go out in two writes; with Nagle's algorithm on,
+    #: a kept-alive body would wait for the client's delayed ACK
+    disable_nagle_algorithm = True
 
     # -- helpers --------------------------------------------------------------
 

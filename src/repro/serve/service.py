@@ -12,7 +12,8 @@ wraps any registered system so a question always produces a typed
 2. transient faults (:class:`~repro.serve.faults.FaultInjected`,
    :class:`StageTimeout`) are retried with exponential backoff;
 3. a per-system :class:`~repro.serve.breaker.CircuitBreaker` stops
-   sending questions to a system that keeps failing;
+   sending questions to a system that keeps raising or faulting (an
+   abstention is a verdict, not a failure, and never trips it);
 4. when a system is down, exhausted, or answerless, the service degrades
    along a fallback chain — by default ontology-driven ATHENA, then
    pattern-based SQAK, then keyword-based SODA — recording every skipped
@@ -302,7 +303,7 @@ class ResilientService:
                 result.degraded_from.append((name, "circuit breaker open"))
                 continue
             try:
-                outcome = self._serve_one(name, question, result, active)
+                outcome = self._serve_one(name, question, result, active, breaker)
             except RequestCancelled as exc:
                 # The request's end-to-end deadline is gone: charge the
                 # breaker and stop — fallbacks would also be cancelled.
@@ -324,7 +325,6 @@ class ResilientService:
                 result.system = name
                 result.answer, result.sql, result.explanation = outcome
                 break
-            breaker.record_failure()
         result.verdict = (
             (VERDICT_DEGRADED if result.degraded or result.retries else VERDICT_ANSWERED)
             if result.ok
@@ -339,9 +339,16 @@ class ResilientService:
         question: str,
         result: ServeResult,
         injector: FaultInjector,
+        breaker: CircuitBreaker,
     ) -> Optional[Tuple[Relation, Optional[str], Optional[str]]]:
-        """Try one system with retries; ``None`` means it failed and the
-        reason has been recorded on ``result``."""
+        """Try one system with retries; ``None`` means it failed or
+        abstained, and the reason has been recorded on ``result``.
+
+        A raised error or an exhausted transient fault charges
+        ``breaker``.  An abstention (:class:`NoAnswer`) does not: the
+        system ran to a verdict, so its breaker records a success, which
+        also resolves a half-open probe.
+        """
         delay = self.backoff_s
         reason = "unknown failure"
         for attempt in range(self.retries + 1):
@@ -365,8 +372,9 @@ class ResilientService:
                 break
             except NoAnswer as exc:
                 result.fault_trace.extend(injector.drain_events())
-                reason = exc.reason
-                break
+                breaker.record_success()
+                result.degraded_from.append((name, exc.reason))
+                return None
             except RequestCancelled:
                 result.fault_trace.extend(injector.drain_events())
                 raise  # chain-level: handled (and recorded) by ask()
@@ -375,6 +383,7 @@ class ResilientService:
                 reason = f"{type(exc).__name__}: {exc}"
                 result.fault_trace.append(FaultEvent("serve", "error", f"{name}: {reason}"))
                 break
+        breaker.record_failure()
         result.degraded_from.append((name, reason))
         return None
 

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 
+import pytest
+
 from repro.cli import main
 
 
@@ -131,6 +133,12 @@ class TestServe:
         payload = json.loads(report.read_text())
         assert payload["fault_plan"] == "execute:error:0.5"
         assert payload["summary"]["total"] == len(payload["results"])
+
+    def test_bad_fault_plan_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "how many customers", "--inject", "bogus:error:1.0"])
+        assert exit_info.value.code == 2
+        assert "unknown stage 'bogus'" in capsys.readouterr().err
 
     def test_requires_question_or_workload(self, capsys):
         code = main(["serve", "--domain", "retail"])

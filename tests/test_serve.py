@@ -6,6 +6,7 @@ import pytest
 
 import repro.systems  # noqa: F401  (imported to populate the registry)
 from repro.bench.workload_gen import build_telemetry_db
+from repro.bench.workloads import WorkloadGenerator
 from repro.core.registry import create
 from repro.perf.parallel import ContextSpec
 from repro.perf.profiler import StageProfiler, stage_hook
@@ -333,6 +334,18 @@ class TestResilientService:
         clock.now = 200.0
         assert service.breaker("athena").allow()
 
+    def test_abstentions_never_open_a_breaker(self, emp_ctx):
+        # An abstention is a verdict, not a fault: however many in a row,
+        # the next answerable question still reaches the primary.
+        service = make_service(emp_ctx)
+        for _ in range(service.failure_threshold + 1):
+            assert not service.ask("flibbertigibbet quux zorp").ok
+        states = {name: s["state"] for name, s in service.breaker_snapshots().items()}
+        assert states == {"athena": CLOSED, "sqak": CLOSED, "soda": CLOSED}
+        result = service.ask(QUESTION)
+        assert result.ok and result.system == "athena"
+        assert result.degraded_from == []
+
     def test_unknown_question_degrades_not_raises(self, emp_ctx):
         service = make_service(emp_ctx)
         result = service.ask("flibbertigibbet quux zorp")
@@ -409,3 +422,55 @@ class TestServeWorkload:
         first, second = run(), run()
         first.pop("elapsed_s"), second.pop("elapsed_s")
         assert first == second
+
+
+#: every stage, every fault kind
+MIXED_FAULT_PLAN = "*:error:0.2,*:latency:0.2:0.0005,*:corrupt:0.2"
+
+
+@pytest.fixture(scope="module")
+def uni_workload():
+    context = ContextSpec("university", seed=3).build()
+    examples = WorkloadGenerator(context.database, seed=3).generate_mixed(3)
+    return context, [example.question for example in examples]
+
+
+def uni_service(context, plan=None):
+    injector = FaultInjector(FaultPlan.parse(plan, seed=3)) if plan else None
+    # a huge threshold: measure degradation, not breaker trips
+    return make_service(context, retries=2, injector=injector, failure_threshold=10_000)
+
+
+class TestServeMixedWorkload:
+    def test_clean_serving_equals_direct_answers(self, uni_workload):
+        context, questions = uni_workload
+        results, summary = serve_workload(uni_service(context), questions, system="athena")
+        assert summary.retries == 0 and summary.faults == 0
+        primary = create("athena")
+        for result in results:
+            direct = primary.answer(result.question, context)
+            if result.ok:
+                assert result.system == "athena" and direct is not None, result.question
+                assert result.answer.columns == direct.columns, result.question
+                assert result.answer.rows == direct.rows, result.question
+            else:
+                assert direct is None, result.question
+
+    def test_mixed_faults_degrade_retry_and_replay(self, uni_workload):
+        context, questions = uni_workload
+
+        def run():
+            return serve_workload(
+                uni_service(context, MIXED_FAULT_PLAN), questions, system="athena"
+            )
+
+        results, summary = run()
+        assert summary.total == len(questions)
+        assert summary.degraded_ok > 0 and summary.retries > 0
+        for result in results:
+            if result.ok and result.degraded:
+                assert result.degraded_from, result.question
+                assert all(reason for _, reason in result.degraded_from), result.question
+        first, replay = summary.as_dict(), run()[1].as_dict()
+        first.pop("elapsed_s"), replay.pop("elapsed_s")
+        assert first == replay

@@ -213,6 +213,27 @@ class TestQueryEndToEnd:
             first.pop(volatile), second.pop(volatile)
         assert first == second
 
+    def test_kept_alive_responses_do_not_wait_for_delayed_acks(
+        self, real_server, real_question
+    ):
+        # Headers and body leave in two writes; with Nagle's algorithm on,
+        # each kept-alive body waited ~40 ms for the client's delayed ACK.
+        body = json.dumps({"question": real_question}).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        conn = http.client.HTTPConnection(*real_server.endpoint, timeout=30)
+        try:
+            conn.request("POST", "/query", body=body, headers=headers)
+            conn.getresponse().read()  # answer it once, so the rest hit the cache
+            started = time.perf_counter()
+            for _ in range(20):
+                conn.request("POST", "/query", body=body, headers=headers)
+                response = conn.getresponse()
+                assert response.status == 200 and json.loads(response.read())["cached"]
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.4, elapsed
+
     def test_timings_are_present_and_numeric(self, real_server, real_question):
         _, payload, _ = _post(real_server.endpoint, {"question": real_question})
         assert set(payload["timings"]) == {"queued_s", "elapsed_s"}

@@ -508,7 +508,7 @@ class TestOQLUnion:
     def test_union_question_answered_end_to_end(self):
         from repro.bench import WorkloadGenerator, build_domain, evaluate_system
         from repro.core import NLIDBContext
-        from repro.systems import AthenaSystem
+        from repro.systems import AthenaNoBISystem, AthenaSystem
 
         database = build_domain("hr")
         context = NLIDBContext(database)
@@ -522,3 +522,6 @@ class TestOQLUnion:
         assert examples, "workload generator should emit union-or examples"
         outcomes = evaluate_system(AthenaSystem(), context, examples[:3])
         assert all(o.answered and o.correct for o in outcomes)
+        # Without compound interpretation none of them is answered right.
+        outcomes = evaluate_system(AthenaNoBISystem(), context, examples[:3])
+        assert not any(o.answered and o.correct for o in outcomes)
