@@ -11,8 +11,8 @@ its floors, and writes one record plus a table under
   rejection, and how many candidate interpretations of the bench
   domains' questions the analyzer (errors, SQL5xx inference
   diagnostics) prunes or flags;
-- ``parallel_eval`` — the pooled, cached evaluation sweep vs serial
-  ``evaluate_system``;
+- ``eval_cache`` — the evaluation sweep with one shared
+  ``EvaluationCache`` vs the uncached sweep;
 - ``columnar`` — vectorized kernels vs the row path on the telemetry
   table, with the inference pass on and off, and the provably-empty
   WHERE short-circuit;
@@ -48,7 +48,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _common import emit_record
 import repro.systems  # noqa: F401  (imported to populate the registry)
 from repro.bench.catalog_gen import build_wide_catalog
-from repro.bench.domains import build_domain, domain_names
+from repro.bench.domains import ContextSpec, build_domain, domain_names
 from repro.bench.harness import evaluate_system, format_table, rows_for_outcomes
 from repro.bench.workload_gen import (
     SCAN_HEAVY_CLASSES,
@@ -59,8 +59,7 @@ from repro.bench.workload_gen import (
 from repro.bench.workloads import WorkloadGenerator
 from repro.core.pipeline import NLIDBContext
 from repro.core.registry import available, create
-from repro.perf import StageProfiler
-from repro.perf.parallel import ContextSpec, parallel_compare_systems
+from repro.perf import EvaluationCache, StageProfiler
 from repro.serve import (
     ConcurrentFront,
     FaultPlan,
@@ -312,74 +311,75 @@ def analyzer(quick: bool) -> None:
     assert record["max_statically_pruned"] > 0, record
 
 
-# -- parallel_eval -------------------------------------------------------------
-
-JOBS = 4
+# -- eval_cache ----------------------------------------------------------------
 
 
-def parallel_eval(quick: bool) -> None:
+def eval_cache(quick: bool) -> None:
     """A repeated-question sweep (query logs are skewed, so repetition is
-    the realistic shape): ``parallel_compare_systems`` with shared caches
-    vs serial ``evaluate_system`` per system, outcomes identical.  On one
-    core the gain comes from the caches; more cores add pool scaling."""
+    the realistic shape): every system over one shared
+    ``EvaluationCache`` vs the uncached ``evaluate_system`` per system,
+    outcomes identical.  Systems share gold results and match verdicts;
+    repeats hit the interpretation cache."""
     per_tier, epochs = (1, 3) if quick else (2, 6)
     systems = ["soda", "quest"] if quick else ["athena", "nalir", "soda", "quest"]
-    spec = ContextSpec("university", seed=3)
-    context = spec.build()
+    context = ContextSpec("university", seed=3).build()
     unique = WorkloadGenerator(context.database, seed=3).generate_mixed(per_tier)
     examples = unique * epochs
 
-    # Parallel first, so any process-local memo warmth favours serial.
+    # Cached first, so any process-local memo warmth favours uncached.
+    cache, profile = EvaluationCache(), StageProfiler()
     start = time.perf_counter()
-    report = parallel_compare_systems(systems, spec, examples, jobs=JOBS, context=context)
-    parallel_s = time.perf_counter() - start
+    cached_outcomes = {
+        name: evaluate_system(create(name), context, examples, cache=cache, profiler=profile)
+        for name in systems
+    }
+    cached_s = time.perf_counter() - start
     start = time.perf_counter()
     serial_outcomes = {name: evaluate_system(create(name), context, examples) for name in systems}
     serial_s = time.perf_counter() - start
 
-    serial_rows = [
-        row for name in systems for row in rows_for_outcomes(name, serial_outcomes[name])
-    ]
-    assert report.rows == serial_rows, "parallel rows diverged from serial"
+    def rows(outcomes: Dict[str, List[Any]]) -> List[Any]:
+        return [row for name in systems for row in rows_for_outcomes(name, outcomes[name])]
+
+    assert rows(cached_outcomes) == rows(serial_outcomes), "cached rows diverged from uncached"
     for name in systems:
-        assert report.outcomes[name] == serial_outcomes[name], name
-        assert len(report.outcomes[name]) == len(examples), name
-    interp = report.cache_stats["interpretations"]
+        assert cached_outcomes[name] == serial_outcomes[name], name
+        assert len(cached_outcomes[name]) == len(examples), name
+    stats = cache.stats()
+    interp = stats["interpretations"]
     assert interp.hit_rate > 0, "repeated workload must hit the interpretation cache"
 
-    speedup = serial_s / parallel_s
+    speedup = serial_s / cached_s
     record = {
         "domain": "university",
         "systems": systems,
         "examples": len(examples),
         "unique_questions": len(unique),
         "epochs": epochs,
-        "jobs": JOBS,
-        "mode": report.mode,
         "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
+        "cached_s": round(cached_s, 4),
         "speedup": round(speedup, 2),
-        "cache_stats": report.cache_stats_dict(),
+        "cache_stats": cache.stats_dict(),
         "interpretation_hit_rate": round(interp.hit_rate, 4),
-        "profile": report.profile.as_dict(),
+        "profile": profile.as_dict(),
     }
-    rows = [
-        {"measure": f"serial compare_systems ({len(systems)} systems)",
-         "seconds": f"{serial_s:.3f}", "note": "no caches, no pool"},
-        {"measure": f"parallel x{JOBS} + shared caches", "seconds": f"{parallel_s:.3f}",
-         "note": f"{speedup:.2f}x, mode={report.mode}"},
-        {"measure": "interpretation cache", "seconds": "-",
-         "note": f"hit rate {interp.hit_rate:.2f} ({interp.hits}/{interp.lookups} lookups)"},
-        {"measure": "match-verdict cache", "seconds": "-",
-         "note": f"hit rate {report.cache_stats['match_verdicts'].hit_rate:.2f}"},
+    table = [
+        {"measure": f"uncached evaluate_system ({len(systems)} systems)",
+         "seconds": f"{serial_s:.3f}", "note": "no caches"},
+        {"measure": "one shared EvaluationCache", "seconds": f"{cached_s:.3f}",
+         "note": f"{speedup:.2f}x"},
+    ] + [
+        {"measure": f"{layer} cache", "seconds": "-",
+         "note": f"hit rate {layer_stats.hit_rate:.2f} "
+                 f"({layer_stats.hits}/{layer_stats.lookups} lookups)"}
+        for layer, layer_stats in stats.items()
     ]
     title = _title(
-        f"parallel evaluation, {len(examples)} examples "
-        f"({len(unique)} unique x{epochs}), jobs={JOBS}",
+        f"cached evaluation, {len(examples)} examples ({len(unique)} unique x{epochs})",
         quick,
     )
-    text = format_table(rows, title) + "\n\n" + report.profile.report("merged per-stage profile")
-    emit_record("parallel_eval", text, record, quick)
+    text = format_table(table, title) + "\n\n" + profile.report("per-stage profile (cached sweep)")
+    emit_record("eval_cache", text, record, quick)
     if not quick:
         assert speedup >= 2.0, record
 
@@ -699,7 +699,7 @@ def schema_index(quick: bool) -> None:
 SECTIONS: Dict[str, Callable[[bool], None]] = {
     "planner": planner,
     "analyzer": analyzer,
-    "parallel_eval": parallel_eval,
+    "eval_cache": eval_cache,
     "columnar": columnar,
     "serve_concurrency": serve_concurrency,
     "schema_index": schema_index,

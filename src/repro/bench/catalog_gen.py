@@ -18,8 +18,8 @@ deterministically by cloning and permuting the existing domains:
   endpoint fell past the width cutoff are dropped.
 
 The result is a pure function of ``(width, seed, scale)``, which is what
-lets :class:`~repro.perf.parallel.ContextSpec` rebuild an identical
-catalog inside every worker process.
+lets :class:`~repro.bench.domains.ContextSpec` rebuild an identical
+catalog for every serving worker.
 """
 
 from __future__ import annotations

@@ -194,7 +194,7 @@ class ComparisonRow:
 
     The perf columns (cache hit rate, per-example stage timings) are
     measurements *about* a run, not results *of* it — they are excluded
-    from equality so differential tests can assert serial == parallel.
+    from equality so differential tests can assert cached == uncached.
     The serve columns (availability, degraded-answer count, retries)
     come from an optional resilient-serving sweep (``repro bench
     --serve``) and are likewise excluded: they describe the serving

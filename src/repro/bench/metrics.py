@@ -121,10 +121,10 @@ class ExampleOutcome:
     static_rejected: bool = False
     metadata: Dict[str, Any] = field(default_factory=dict)
     #: perf measurements *about* the run, not results *of* it — excluded
-    #: from equality so serial/parallel/cached sweeps stay comparable
+    #: from equality so cached and uncached sweeps stay comparable
     interp_ms: Optional[float] = field(default=None, compare=False)
     #: schema-index candidates pruned before scoring for this example
-    #: (``None`` when the context has no index or the annotator opted out)
+    #: (``None`` when the context has no index)
     cand_pruned: Optional[int] = field(default=None, compare=False)
 
 

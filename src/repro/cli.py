@@ -8,7 +8,7 @@ Subcommands exercising the library end to end::
     python -m repro complete "movies with" --domain movies
     python -m repro sql "SELECT ..." --domain retail --explain
     python -m repro systems                         # list registered systems
-    python -m repro bench --jobs 4 --profile        # parallel benchmark sweep
+    python -m repro bench --epochs 3 --profile      # cached benchmark sweep
     python -m repro serve "..." --inject "execute:error:0.5"   # resilient serving
     python -m repro serve --http 8080 --pool 4                 # HTTP/JSON facade
     python -m repro bench --serve --inject "*:error:0.3"       # availability columns
@@ -307,11 +307,13 @@ def _print_serve_result(result, verbose: bool, rows: int) -> None:
 def cmd_bench(args: argparse.Namespace) -> int:
     """Benchmark systems over a generated workload.
 
-    ``--jobs N`` fans evaluation out over N worker processes (with a
-    graceful serial fallback); ``--epochs`` repeats the workload to
-    exercise the interpretation cache; ``--profile`` prints the
-    per-stage timing table; ``--catalog-width N`` swaps the domain for a
-    seeded N-table wide catalog (enterprise-scale matching pressure);
+    Every system runs in this process over one shared
+    :class:`~repro.perf.cache.EvaluationCache`, so gold results and
+    match verdicts computed for one system serve the next.
+    ``--epochs`` repeats the workload to exercise the interpretation
+    cache; ``--profile`` prints the per-stage timing table;
+    ``--catalog-width N`` swaps the domain for a seeded N-table wide
+    catalog (enterprise-scale matching pressure);
     ``--no-schema-index`` disables the inverted-lexicon candidate
     pruning (brute-force matching, for A/B runs); ``--serve``
     additionally runs each system as the primary of a resilient fallback
@@ -321,13 +323,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     summaries).
     """
     import json
+    import time
 
-    from repro.bench.harness import format_table
+    from repro.bench.domains import ContextSpec
+    from repro.bench.harness import compare_systems, format_table
     from repro.bench.workloads import WorkloadGenerator
-    from repro.perf.cache import all_cache_stats
-    from repro.perf.parallel import ContextSpec, parallel_compare_systems
+    from repro.perf import EvaluationCache, StageProfiler, all_cache_stats
 
-    spec = ContextSpec(
+    context = ContextSpec(
         args.domain,
         seed=args.seed,
         # wide catalogs keep per-table row counts small: the matching
@@ -335,16 +338,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
         scale=0.25 if args.catalog_width else 1.0,
         catalog_width=args.catalog_width,
         use_schema_index=not args.no_schema_index,
-    )
-    context = spec.build()
+    ).build()
     examples = WorkloadGenerator(context.database, seed=args.seed).generate_mixed(
         args.per_tier
     )
     examples = examples * max(1, args.epochs)
     names = args.systems.split(",") if args.systems else list(available())
-    report = parallel_compare_systems(
-        names, spec, examples, jobs=args.jobs, context=context
+    cache, profile = EvaluationCache(), StageProfiler()
+    started = time.perf_counter()
+    rows = compare_systems(
+        [create(name) for name in names], context, examples, cache=cache, profiler=profile
     )
+    wall_s = time.perf_counter() - started
     serve_summaries = {}
     if args.serve:
         from repro.serve import serve_workload
@@ -354,37 +359,32 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for name in names:
             _, summary = serve_workload(service, questions, system=name)
             serve_summaries[name] = summary
-        for row in report.rows:
+        for row in rows:
             if row.system in serve_summaries:
                 row.attach_serve(serve_summaries[row.system])
     scope = f"widecat[{args.catalog_width}]" if args.catalog_width else args.domain
-    title = (
-        f"{scope}: {len(examples)} examples × {len(names)} systems "
-        f"({report.mode}, jobs={report.jobs}, {report.wall_s:.2f}s)"
-    )
-    print(format_table([r.as_dict() for r in report.rows], title))
+    title = f"{scope}: {len(examples)} examples × {len(names)} systems ({wall_s:.2f}s)"
+    print(format_table([r.as_dict() for r in rows], title))
     print()
     print("cache layers:")
-    for layer, stats in sorted(report.cache_stats.items()):
+    for layer, stats in sorted(cache.stats().items()):
         print(f"  {layer:16s} {stats.as_dict()}")
     if args.profile:
         print()
-        print(report.profile.report())
+        print(profile.report())
     if args.json:
         payload = {
             "domain": args.domain,
             "catalog_width": args.catalog_width,
             "schema_index": not args.no_schema_index,
             "examples": len(examples),
-            "jobs": report.jobs,
-            "mode": report.mode,
-            "wall_s": round(report.wall_s, 4),
-            "rows": [r.as_dict() for r in report.rows],
-            "cache_stats": report.cache_stats_dict(),
+            "wall_s": round(wall_s, 4),
+            "rows": [r.as_dict() for r in rows],
+            "cache_stats": cache.stats_dict(),
             "nlp_cache_stats": {
                 name: s.as_dict() for name, s in sorted(all_cache_stats().items())
             },
-            "profile": report.profile.as_dict(),
+            "profile": profile.as_dict(),
         }
         if serve_summaries:
             payload["serve"] = {
@@ -537,12 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="repeat the workload N times (exercises the interpretation cache)",
-    )
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes (default: CPU count; 1 forces serial)",
     )
     bench.add_argument(
         "--profile", action="store_true", help="print the per-stage timing table"

@@ -160,14 +160,6 @@ class PruningCounters:
         """Fraction of brute-force metadata candidates skipped."""
         return self.pruned / self.considered if self.considered else 0.0
 
-    def merge(self, other: "PruningCounters") -> None:
-        self.spans += other.spans
-        self.considered += other.considered
-        self.scored += other.scored
-        self.value_tokens += other.value_tokens
-        self.value_considered += other.value_considered
-        self.value_scored += other.value_scored
-
     def snapshot(self) -> "PruningCounters":
         return PruningCounters(
             self.spans,

@@ -288,7 +288,9 @@ class Thesaurus:
         w = lemmatize(word.lower())
         if w in self._hypernyms or w == _ROOT:
             return w
-        for syn in self.synonyms(w):
+        # sorted: a word in two rings must not take its canonical node
+        # from whichever ring the set's hash order meets first
+        for syn in sorted(self.synonyms(w)):
             s = lemmatize(syn)
             if s in self._hypernyms:
                 return s

@@ -58,13 +58,6 @@ class CacheStats:
         total = self.lookups
         return self.hits / total if total else 0.0
 
-    def merge(self, other: "CacheStats") -> None:
-        """Fold another stats object into this one (for worker merges)."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.evictions += other.evictions
-        self.puts += other.puts
-
     def snapshot(self) -> "CacheStats":
         """An independent copy (used to compute per-task deltas)."""
         return CacheStats(self.hits, self.misses, self.evictions, self.puts)
@@ -301,13 +294,6 @@ class EvaluationCache:
         return {
             name: s.delta(since[name]) for name, s in self.stats().items()
         }
-
-    def merge(self, other_stats: Dict[str, CacheStats]) -> None:
-        """Fold per-layer counters from a worker into this bundle."""
-        mine = self.stats()
-        for name, stats in other_stats.items():
-            if name in mine:
-                mine[name].merge(stats)
 
     def clear(self) -> None:
         self.interpretations.clear()

@@ -48,10 +48,6 @@ class StageStat:
     calls: int = 0
     seconds: float = 0.0
 
-    def merge(self, other: "StageStat") -> None:
-        self.calls += other.calls
-        self.seconds += other.seconds
-
 
 class StageProfiler:
     """Accumulates wall-clock spans per named stage."""
@@ -85,14 +81,6 @@ class StageProfiler:
             _ACTIVE.reset(token)
 
     # -- aggregation ---------------------------------------------------------
-
-    def merge(self, other: "StageProfiler") -> None:
-        """Fold another profiler's spans into this one (worker merges)."""
-        for name, stat in other.stages.items():
-            mine = self.stages.get(name)
-            if mine is None:
-                mine = self.stages[name] = StageStat()
-            mine.merge(stat)
 
     def snapshot(self) -> Dict[str, StageStat]:
         """Independent copies of the current per-stage counters."""

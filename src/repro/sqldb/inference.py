@@ -59,10 +59,13 @@ from .types import DataType, format_value, iso_date_or_none, values_compare
 #: Nullability lattice points.
 NEVER, MAYBE, ALWAYS = "never", "maybe", "always"
 
-#: Type families, identical strings to the analyzer's coarse families.
+#: Type families the inference pass and the semantic analyzer reason in.
+#: Coarser than :class:`~repro.sqldb.types.DataType`: INTEGER and FLOAT
+#: collapse into ``number`` because the engine compares and computes
+#: across them freely.
 NUMBER, TEXT, DATE, BOOL = "number", "text", "date", "boolean"
 
-_FAMILY_BY_DTYPE = {
+FAMILY_BY_DTYPE = {
     DataType.INTEGER: NUMBER,
     DataType.FLOAT: NUMBER,
     DataType.TEXT: TEXT,
@@ -86,8 +89,10 @@ class _NoConst:
 NO_CONST = _NoConst()
 
 
-def _value_family(value: Any) -> Optional[str]:
-    """Type family of a literal's Python value (mirrors the analyzer)."""
+def value_family(value: Any) -> Optional[str]:
+    """Type family of a literal's Python value; ``None`` for NULL or for
+    values outside the engine's scalar domain (no claims about those —
+    programmatic ASTs may carry arbitrary payloads)."""
     if value is None:
         return None
     if isinstance(value, bool):
@@ -101,8 +106,11 @@ def _value_family(value: Any) -> Optional[str]:
     return None
 
 
-def _compatible(left: Optional[str], right: Optional[str]) -> bool:
-    """Whether two families can ever compare equal/ordered at runtime."""
+def families_compatible(left: Optional[str], right: Optional[str]) -> bool:
+    """Whether two families can ever compare equal/ordered at runtime.
+
+    TEXT and DATE are mutually compatible because the engine implicitly
+    parses ISO-date strings compared against DATE values."""
     if left is None or right is None or left == right:
         return True
     return {left, right} == {TEXT, DATE}
@@ -311,7 +319,7 @@ def _literal_fact(value: Any) -> Fact:
     elif isinstance(value, (datetime.date, str)):
         interval = Interval(value, value)
     return Fact(
-        family=_value_family(value), nullability=NEVER, const=value, pure=True, interval=interval
+        family=value_family(value), nullability=NEVER, const=value, pure=True, interval=interval
     )
 
 
@@ -396,7 +404,7 @@ def fact(expr: Expr, resolver: Resolver) -> Fact:
         if res is None:
             return Fact()
         return Fact(
-            family=_FAMILY_BY_DTYPE.get(res.column.dtype),
+            family=FAMILY_BY_DTYPE.get(res.column.dtype),
             nullability=MAYBE if res.column.nullable else NEVER,
             pure=True,
         )
@@ -608,7 +616,11 @@ def _compare_truth(expr: BinaryOp, resolver: Resolver) -> Truth:
         )
 
     # Incompatible families never compare equal or ordered (SQL301 turf).
-    if lf.family is not None and rf.family is not None and not _compatible(lf.family, rf.family):
+    if (
+        lf.family is not None
+        and rf.family is not None
+        and not families_compatible(lf.family, rf.family)
+    ):
         if op == "!=":
             return Truth(True, False, can_unknown, pure=pure, covered=True,
                          reason="type families never compare equal")
@@ -743,7 +755,9 @@ def _between_truth(expr: Between, resolver: Resolver) -> Truth:
     def oriented(t: Truth) -> Truth:
         return t.negate() if expr.negated else t
 
-    if not (_compatible(of.family, lo.family) and _compatible(of.family, hi.family)):
+    if not (
+        families_compatible(of.family, lo.family) and families_compatible(of.family, hi.family)
+    ):
         # SQL305 turf: mismatched bounds make the range test false.
         return oriented(Truth(False, True, can_unknown, pure=pure, covered=True,
                               reason="BETWEEN bounds type-incompatible"))

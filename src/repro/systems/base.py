@@ -87,7 +87,6 @@ class EntityAnnotator:
         similarity_threshold: float = 0.75,
         relaxer: Optional[QueryRelaxer] = None,
         max_span: int = 3,
-        schema_index: bool = True,
     ):
         self.use_metadata = use_metadata
         self.use_values = use_values
@@ -95,9 +94,6 @@ class EntityAnnotator:
         self.similarity_threshold = similarity_threshold
         self.relaxer = relaxer
         self.max_span = max_span
-        #: escape hatch: ``False`` ignores the context's schema index and
-        #: always scores every ontology element (brute force)
-        self.schema_index = schema_index
 
     # -- public API -----------------------------------------------------------
 
@@ -134,12 +130,10 @@ class EntityAnnotator:
     def _index_for(self, context: NLIDBContext) -> Optional[SchemaIndex]:
         """The context's schema index, when both sides allow it.
 
-        ``None`` (→ brute force) when the annotator's own escape hatch is
-        off, the context was built with ``use_schema_index=False``, or
-        the similarity threshold is below the index's soundness floor.
+        ``None`` (→ brute force) when the context was built with
+        ``use_schema_index=False`` or the similarity threshold is below
+        the index's soundness floor.
         """
-        if not self.schema_index:
-            return None
         if not SchemaIndex.supports_threshold(self.similarity_threshold):
             return None
         return getattr(context, "schema_index", None)

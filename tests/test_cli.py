@@ -155,8 +155,6 @@ class TestServe:
                 "athena,soda",
                 "--per-tier",
                 "1",
-                "--jobs",
-                "1",
                 "--serve",
                 "--backoff",
                 "0",

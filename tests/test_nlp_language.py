@@ -1,7 +1,12 @@
 """Unit tests for lemmatizer, POS tagger, parser, similarity, thesaurus."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.nlp import (
     Thesaurus,
     are_synonyms,
@@ -134,6 +139,19 @@ class TestStringSimilarity:
         )
 
 
+#: prints the canonical taxonomy node of "location" on the retail
+#: context, and the similarity that node decides
+_HASH_SEED_PROBE = """
+from repro.bench.domains import build_domain
+from repro.core.pipeline import NLIDBContext
+from repro.nlp import term_similarity
+
+context = NLIDBContext(build_domain("retail", seed=0))
+thesaurus = context.thesaurus
+print(thesaurus._canonical("location"), term_similarity("stores", "location", thesaurus))
+"""
+
+
 class TestThesaurus:
     def test_synonyms_ring(self):
         assert "pay" in synonyms("salary")
@@ -175,6 +193,23 @@ class TestThesaurus:
         assert th.are_synonyms("sum", "amount")
         assert th.are_synonyms("total", "sum")
         assert not th.are_synonyms("total", "amount")
+
+    def test_canonical_node_does_not_depend_on_hash_seed(self):
+        # "location" is in the retail schema's {city, location, town} ring
+        # and in the built-in {branch, ..., store} ring, whose taxonomy
+        # nodes differ: set iteration order must not pick between them
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_PROBE],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "2")
+        ]
+        assert outputs[0] == outputs[1]
 
 
 class TestTermSimilarity:

@@ -152,12 +152,12 @@ def test_context_escape_hatch():
 def test_annotator_escape_hatch():
     db = build_domain("retail", seed=0)
     context = NLIDBContext(db)
-    annotator = EntityAnnotator(schema_index=False)
-    assert annotator._index_for(context) is None
+    brute = NLIDBContext(db, use_schema_index=False)
+    annotator = EntityAnnotator()
+    assert annotator._index_for(brute) is None
     # still annotates identically, just brute-force
-    on = EntityAnnotator(schema_index=True)
     for question in PROBES:
-        assert annotator.annotate(question, context) == on.annotate(question, context)
+        assert annotator.annotate(question, brute) == annotator.annotate(question, context)
 
 
 def test_low_threshold_falls_back_to_brute_force():

@@ -5,10 +5,10 @@ from __future__ import annotations
 import pytest
 
 import repro.systems  # noqa: F401  (imported to populate the registry)
+from repro.bench.domains import ContextSpec
 from repro.bench.workload_gen import build_telemetry_db
 from repro.bench.workloads import WorkloadGenerator
 from repro.core.registry import create
-from repro.perf.parallel import ContextSpec
 from repro.perf.profiler import StageProfiler, stage_hook
 from repro.serve import (
     CLOSED,

@@ -29,8 +29,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.systems  # noqa: F401  (imported to populate the registry)
+from repro.bench.domains import ContextSpec
 from repro.bench.workloads import WorkloadGenerator
-from repro.perf.parallel import ContextSpec
 from repro.perf.profiler import profile_stage
 from repro.serve import (
     CLOSED,
