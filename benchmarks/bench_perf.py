@@ -14,8 +14,7 @@ its floors, and writes one record plus a table under
 - ``eval_cache`` — the evaluation sweep with one shared
   ``EvaluationCache`` vs the uncached sweep;
 - ``columnar`` — vectorized kernels vs the row path on the telemetry
-  table, with the inference pass on and off, and the provably-empty
-  WHERE short-circuit;
+  table;
 - ``serve_concurrency`` — serial serving vs the worker pool, clean and
   under sleeping latency faults;
 - ``schema_index`` — indexed vs brute-force interpretation at catalog
@@ -388,31 +387,22 @@ def eval_cache(quick: bool) -> None:
 
 #: whole-table scans answered entirely by vectorized kernels: the 50x floor
 FLOOR_CLASSES = ("range_count", "scan_agg", "ts_window")
-#: a WHERE the interval analysis proves empty: answered without a scan
-EMPTY_SQL = (
-    "SELECT COUNT(*), SUM(duration_ms) FROM telemetry "
-    "WHERE device_id > 100 AND device_id < 50"
-)
 
 
 def columnar(quick: bool) -> None:
-    """Every generated telemetry query agrees on the row path and on the
-    vectorized path with inference on and off; then each class is timed
-    row vs columnar, and a provably-empty WHERE full scan vs the static
-    short-circuit."""
+    """Every generated telemetry query agrees on the row path and the
+    vectorized path; then each class is timed row vs columnar."""
     n_rows, per_template = (20_000, 2) if quick else (1_000_000, 3)
     db = build_telemetry_db(n_rows=n_rows, seed=SEED)
     queries = generate_telemetry_queries(n_rows, per_template, seed=SEED)
     row = Executor(db, use_columnar=False)
-    col = Executor(db, infer=True)
-    infer_off = Executor(db, infer=False)
+    col = Executor(db)
     by_class: Dict[str, List[str]] = {}
     for q in queries:
         expected = strict_rows(row.execute_sql(q.sql))
         assert strict_rows(col.execute_sql(q.sql)) == expected, q.sql
         if q.template in SCAN_HEAVY_CLASSES:
             assert col.last_stats.vectorized == 1, (q.template, q.sql)
-        assert strict_rows(infer_off.execute_sql(q.sql)) == expected, q.sql
         by_class.setdefault(q.template, []).append(q.sql)
 
     def run_all(executor: Executor, sqls: List[str]) -> Callable[[], None]:
@@ -428,15 +418,6 @@ def columnar(quick: bool) -> None:
         col.execute_sql(by_class["scan_agg"][0])
     profile = {name: stat["seconds"] for name, stat in profiler.as_dict().items()}
 
-    expected = strict_rows(infer_off.execute_sql(EMPTY_SQL))
-    assert strict_rows(col.execute_sql(EMPTY_SQL)) == expected
-    assert col.last_stats.static_short_circuits == 1
-    assert col.last_stats.rows_scanned == 0
-    repeat = 2 if quick else 3
-    off_s = timeit(lambda: infer_off.execute_sql(EMPTY_SQL), repeat)
-    on_s = timeit(lambda: col.execute_sql(EMPTY_SQL), repeat)
-    empty = {"infer_off_s": off_s, "infer_on_s": on_s, "speedup": off_s / on_s}
-
     floor = min(classes[name]["speedup"] for name in FLOOR_CLASSES)
     record = {
         "scale_rows": n_rows,
@@ -445,7 +426,6 @@ def columnar(quick: bool) -> None:
         "classes": classes,
         "scan_heavy_min_speedup": floor,
         "profile_stages": profile,
-        "empty_short_circuit": empty,
     }
     rows = [
         {
@@ -456,23 +436,12 @@ def columnar(quick: bool) -> None:
         }
         for template, stats in sorted(classes.items())
     ]
-    empty_row = {
-        "query": "provably-empty WHERE",
-        "infer_off_ms": f"{off_s * 1000:.3f}",
-        "infer_on_ms": f"{on_s * 1000:.3f}",
-        "speedup": f"{empty['speedup']:.1f}x",
-    }
     title = _title(f"columnar engine vs row path ({n_rows} rows, seed={SEED})", quick)
-    text = (
-        format_table(rows, title)
-        + "\n\n"
-        + format_table([empty_row], "static short-circuit, inference off vs on")
-    )
-    emit_record("columnar", text, record, quick)
+    emit_record("columnar", format_table(rows, title), record, quick)
     if quick:  # fixed overheads are a visible share of a 20k-row scan
-        assert floor > 2.0 and empty["speedup"] > 1.0, record
+        assert floor > 2.0, record
     else:
-        assert floor >= 50.0 and empty["speedup"] >= 5.0, record
+        assert floor >= 50.0, record
 
 
 # -- serve_concurrency -----------------------------------------------------------

@@ -113,8 +113,8 @@ def telemetry_schema() -> TableSchema:
         "telemetry",
         [
             # The generator always fills these six, so they are declared
-            # NOT NULL — the static inference pass drops IS NOT NULL
-            # tests on them as always true.
+            # NOT NULL — the analyzer warns (SQL502) that IS NOT NULL
+            # tests on them are always true.
             Column("id", DataType.INTEGER, primary_key=True, nullable=False),
             Column("device_id", DataType.INTEGER, nullable=False),
             Column("event_type", DataType.INTEGER, nullable=False),

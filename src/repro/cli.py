@@ -89,7 +89,6 @@ def cmd_sql(args: argparse.Namespace) -> int:
         database,
         use_planner=not args.no_planner,
         use_columnar=not args.no_columnar,
-        infer=not args.no_infer,
     )
     if args.explain:
         try:
@@ -437,12 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-columnar",
         action="store_true",
         help="disable the vectorized columnar scan path",
-    )
-    sql.add_argument(
-        "--no-infer",
-        action="store_true",
-        help="disable the static inference pass (constant folding, predicate "
-        "simplification, provably-empty short-circuits)",
     )
     sql.add_argument(
         "--lint",

@@ -18,7 +18,6 @@ from repro.ontology.builder import build_ontology
 from repro.ontology.mapping import OntologyMapping
 from repro.ontology.model import Ontology
 from repro.ontology.reasoner import Reasoner
-from repro.perf.cache import InterpretationCache
 from repro.perf.profiler import profile_stage
 from repro.sqldb.database import Database
 from repro.sqldb.executor import Executor
@@ -45,7 +44,6 @@ class NLIDBContext:
         mapping: Optional[OntologyMapping] = None,
         thesaurus: Optional[Thesaurus] = None,
         use_planner: bool = True,
-        interpretation_cache: Optional[InterpretationCache] = None,
         use_schema_index: bool = True,
     ):
         self.database = database
@@ -57,10 +55,6 @@ class NLIDBContext:
         self.reasoner = Reasoner(ontology, mapping)
         self.thesaurus = thesaurus or DEFAULT_THESAURUS
         self.executor = Executor(database, use_planner=use_planner)
-        #: optional memo of ranked interpretation lists, consulted by
-        #: :meth:`interpret`; keyed on the database's data version so
-        #: mutations invalidate automatically
-        self.interpretation_cache = interpretation_cache
         #: per-query ExecutionStats of the most recent execute() call
         self.last_stats = None
         #: escape hatch: ``False`` forces brute-force evidence matching
@@ -118,23 +112,8 @@ class NLIDBContext:
         return self._schema_index.pruning
 
     def interpret(self, system: "NLIDBSystem", question: str) -> List[Interpretation]:
-        """Run (or replay) ``system``'s interpretation of ``question``.
-
-        When an :class:`InterpretationCache` is attached, a repeat of the
-        same normalized question against the same database version is
-        served from the cache; the entry is deep-copied on both sides, so
-        callers may mutate the result freely.
-        """
-        cache = self.interpretation_cache
-        if cache is None:
-            return system.interpret(question, self)
-        version = self.database.data_version
-        found = cache.get(system.name, question, version)
-        if found is not None:
-            return found
-        interpretations = system.interpret(question, self)
-        cache.put(system.name, question, version, interpretations)
-        return interpretations
+        """Run ``system``'s interpretation of ``question`` in this context."""
+        return system.interpret(question, self)
 
     def execute(self, interpretation: Interpretation) -> Relation:
         """Compile (if needed) and run an interpretation.

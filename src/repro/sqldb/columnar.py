@@ -1022,14 +1022,9 @@ class ColumnarEngine:
         store = table.column_store()
         schema = table.schema
         binding = stmt.from_table.binding.lower()
-        # The planner's statically simplified WHERE (folded constants,
-        # tautologies and implied ranges dropped).  When nothing was
-        # rewritten, effective_where is the original object — so plans
-        # built without inference behave exactly as before.
-        where = plan.effective_where if plan.static_rewrites else stmt.where
         pred = None
-        if where is not None:
-            pred = _WhereCompiler(store, schema, binding).compile(where)
+        if stmt.where is not None:
+            pred = _WhereCompiler(store, schema, binding).compile(stmt.where)
         grouped = bool(stmt.group_by) or ex._projects_aggregate(stmt)
         if grouped and any(
             isinstance(node, CaseExpr)

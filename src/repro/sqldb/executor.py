@@ -194,9 +194,12 @@ class Executor:
     statement with an error-severity diagnostic raises the mapped
     exception class — the same class the interpreter would raise —
     without touching a row.  ``analyze=False`` is the escape hatch that
-    restores pure lazy runtime errors.  Analysis results are cached per
-    statement object (invalidated on catalog changes), so repeated
-    statements pay the analyzer once.
+    restores pure lazy runtime errors.  The analysis and the plan depend
+    only on the statement and the catalog, so both live in one cache
+    entry per statement object, dropped when ``catalog_version`` moves:
+    repeated statements pay the analyzer and the planner once, across
+    writes.  Plans are never rewritten by static inference; its verdicts
+    surface only as the analyzer's SQL5xx warnings.
     """
 
     def __init__(
@@ -206,17 +209,10 @@ class Executor:
         statement_cache_size: int = 256,
         analyze: bool = True,
         use_columnar: bool = True,
-        infer: bool = True,
     ):
         self.database = database
         self.use_planner = use_planner
         self.analyze = analyze
-        #: let the static inference pass (:mod:`repro.sqldb.inference`)
-        #: rewrite plans: constant folding, dropping always-true and
-        #: implied conjuncts, and short-circuiting provably-empty WHERE
-        #: clauses.  ``infer=False`` is the escape hatch that restores
-        #: pre-inference plans exactly.
-        self.infer = infer
         #: route eligible planned statements through the vectorized
         #: columnar kernels (:mod:`repro.sqldb.columnar`); anything the
         #: kernels can't mirror byte-for-byte falls back automatically.
@@ -226,7 +222,7 @@ class Executor:
         self.last_stats = ExecutionStats()
         self.total_stats = ExecutionStats()
         self._stats = self.last_stats
-        self._planner = Planner(database, infer=infer)
+        self._planner = Planner(database)
         self._analyzer = None
         self._columnar = None
         self._statement_cache = LRUCache(statement_cache_size)
@@ -234,10 +230,10 @@ class Executor:
         #: WindowFunction reached by ``_eval`` outside such a projection
         #: has no value and raises :class:`MisplacedWindowError`.
         self._active_windows: Optional[Dict[WindowFunction, Any]] = None
-        self._plan_cache = LRUCache(512)
-        self._plan_catalog_version = database.catalog_version
-        self._analysis_cache = LRUCache(512)
-        self._analysis_data_version = database.data_version
+        #: ``id(stmt) -> [stmt, analysis, plan]``, each half filled on
+        #: first use; cleared when ``catalog_version`` moves
+        self._statement_info = LRUCache(512)
+        self._info_catalog_version = database.catalog_version
 
     # -- public API -----------------------------------------------------------
 
@@ -257,26 +253,21 @@ class Executor:
     def analysis_for(self, stmt: Statement) -> "AnalysisResult":
         """Static analysis of ``stmt``, cached per statement object.
 
-        The cache is keyed by object identity (like the plan cache —
-        the statement cache makes repeated SQL text hit the same object)
-        and invalidated when the database's ``data_version`` moves —
-        catalog changes alter name resolution, and data changes can alter
-        value-aware diagnostics, so both must drop cached verdicts.
+        The cache is keyed by object identity (the statement cache makes
+        repeated SQL text hit the same object) and shares its entry with
+        the plan.  The analyzer reads only the catalog, so a write keeps
+        the verdict and a catalog change drops it.
         """
         from .analyzer import SemanticAnalyzer
 
-        if self.database.data_version != self._analysis_data_version:
-            self._analysis_cache.clear()
-            self._analysis_data_version = self.database.data_version
-        cached = self._analysis_cache.get(id(stmt))
-        if cached is not None and cached[0] is stmt:
+        entry = self._info_entry(stmt)
+        if entry[1] is not None:
             self._stats.preflight_cache_hits += 1
-            return cached[1]
+            return entry[1]
         if self._analyzer is None:
             self._analyzer = SemanticAnalyzer(self.database)
-        result = self._analyzer.analyze(stmt)
-        self._analysis_cache.put(id(stmt), (stmt, result))
-        return result
+        entry[1] = self._analyzer.analyze(stmt)
+        return entry[1]
 
     def explain(self, stmt: Statement) -> str:
         """EXPLAIN-style description of the plan chosen for ``stmt``,
@@ -296,7 +287,7 @@ class Executor:
             return "\n".join(lines)
         plan = self._planner.plan(stmt)
         text = plan.describe()
-        if self.use_planner and not plan.provably_empty:
+        if self.use_planner:
             engine = self._columnar_engine()
             if engine is not None:
                 text += "\n" + engine.describe(stmt, plan)
@@ -305,14 +296,6 @@ class Executor:
     def explain_sql(self, sql: str) -> str:
         """Parse SQL text and describe its plan without executing it."""
         return self.explain(self._parse_cached(sql, count=False))
-
-    def clear_caches(self) -> None:
-        """Drop the parsed-statement, plan and analysis caches (never
-        required for correctness — all hold only parse-/schema-derived
-        state)."""
-        self._statement_cache.clear()
-        self._plan_cache.clear()
-        self._analysis_cache.clear()
 
     # -- query lifecycle -------------------------------------------------------
 
@@ -357,17 +340,24 @@ class Executor:
             self._stats.statement_cache_hits += 1
         return stmt
 
+    def _info_entry(self, stmt: Statement) -> List[Any]:
+        """The ``[stmt, analysis, plan]`` cache entry for ``stmt``."""
+        if self.database.catalog_version != self._info_catalog_version:
+            # New tables can change name resolution and unqualified-column
+            # binding, so every verdict and plan is dropped.
+            self._statement_info.clear()
+            self._info_catalog_version = self.database.catalog_version
+        entry = self._statement_info.get(id(stmt))
+        if entry is None or entry[0] is not stmt:
+            entry = [stmt, None, None]
+            self._statement_info.put(id(stmt), entry)
+        return entry
+
     def _plan_for(self, stmt: SelectStatement) -> QueryPlan:
-        if self.database.catalog_version != self._plan_catalog_version:
-            # New tables can change unqualified-column resolution.
-            self._plan_cache.clear()
-            self._plan_catalog_version = self.database.catalog_version
-        cached = self._plan_cache.get(id(stmt))
-        if cached is not None and cached[0] is stmt:
-            return cached[1]
-        plan = self._planner.plan(stmt)
-        self._plan_cache.put(id(stmt), (stmt, plan))
-        return plan
+        entry = self._info_entry(stmt)
+        if entry[2] is None:
+            entry[2] = self._planner.plan(stmt)
+        return entry[2]
 
     def _columnar_engine(self) -> "Optional[ColumnarEngine]":
         """The lazily built vectorized engine, or ``None`` when disabled
@@ -393,24 +383,6 @@ class Executor:
             return self._execute_compound(stmt, parent)
         if self.use_planner:
             plan = self._plan_for(stmt)
-            self._stats.static_rewrites += plan.static_rewrites
-            if plan.provably_empty:
-                # The WHERE clause is provably never satisfiable (and
-                # provably never raises): skip the scan entirely.  An
-                # empty scope list flows through the same projection
-                # machinery, so grouped aggregates still produce their
-                # one COUNT=0 row.
-                self._stats.static_short_circuits += 1
-                if parent is None and not self._stats.strategy:
-                    self._stats.strategy = plan.summary()
-                scopes: List[_Scope] = []
-                grouped = bool(stmt.group_by) or self._projects_aggregate(stmt)
-                if grouped:
-                    rows, order_rows = self._project_grouped(stmt, scopes, parent)
-                else:
-                    rows, order_rows = self._project_rows(stmt, scopes)
-                columns = self._output_columns(stmt, scopes)
-                return self._finalize(stmt, rows, order_rows, columns)
             engine = self._columnar_engine()
             if engine is not None:
                 claimed = engine.try_execute(stmt, plan, parent)

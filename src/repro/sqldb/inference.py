@@ -1,4 +1,4 @@
-"""Static inference: per-expression facts, folding, and predicate verdicts.
+"""Static inference: per-expression facts and predicate verdicts.
 
 A bottom-up abstract interpretation over the SQL AST.  For every
 expression it computes a :class:`Fact` — type family, nullability
@@ -9,21 +9,19 @@ evaluating the expression can provably never raise).  On top of facts,
 expressions: which of the three Kleene outcomes (true / false /
 unknown) the predicate can produce at runtime.
 
-Consumers:
-
-- the analyzer (:mod:`repro.sqldb.analyzer`) emits ``SQL5xx`` warnings
-  from :func:`infer_where` — contradictory predicates (``SQL501``),
-  always-true predicates (``SQL502``), and comparison constants outside
-  a column's value domain (``SQL503``);
-- the planner folds constants (:func:`fold_constants`), drops
-  always-true conjuncts, drops range conjuncts implied by tighter ones
-  (:func:`implied_drops`), and short-circuits provably-empty scans.
+The one consumer is the analyzer (:mod:`repro.sqldb.analyzer`), which
+emits ``SQL5xx`` warnings from :func:`infer_where` — contradictory
+predicates (``SQL501``), always-true predicates (``SQL502``), and
+comparison constants outside a column's value domain (``SQL503``) —
+and :func:`repro.core.ranking.apply_static_analysis` down-weights
+warned NL candidates.  Plans are never rewritten from these verdicts:
+the engine executes the WHERE clause as written.
 
 Soundness notes:
 
 - All "never"/"always" claims require ``pure`` — the executor must not
-  be able to raise while evaluating the conjunct, otherwise dropping or
-  short-circuiting it would swallow a runtime error.
+  be able to raise while evaluating the conjunct, otherwise the
+  statement errors instead of returning the claimed rows.
 - Interval reasoning is restricted to INTEGER/DATE/TEXT columns.  FLOAT
   is excluded because ``values_compare(nan, c)`` returns 0, which makes
   NaN satisfy every non-strict bound.
@@ -46,7 +44,6 @@ from .ast import (
     CaseExpr,
     ColumnRef,
     Expr,
-    FuncCall,
     InList,
     IsNull,
     Literal,
@@ -182,31 +179,6 @@ class Interval:
                     high, high_open = other.high, other.high_open
         return Interval(low, high, low_open, high_open)
 
-    def contains(self, other: "Interval") -> bool:
-        """Whether every value of ``other`` lies inside ``self``."""
-        if self.low is not None:
-            if other.low is None:
-                return False
-            c = _order(other.low, self.low)
-            if c is None or c < 0:
-                return False
-            if c == 0 and self.low_open and not other.low_open:
-                return False
-        if self.high is not None:
-            if other.high is None:
-                return False
-            c = _order(other.high, self.high)
-            if c is None or c > 0:
-                return False
-            if c == 0 and self.high_open and not other.high_open:
-                return False
-        return True
-
-    @property
-    def unbounded(self) -> bool:
-        """Whether the interval places no constraint at all."""
-        return self.low is None and self.high is None
-
     def __str__(self) -> str:
         if (
             self.low is not None
@@ -240,8 +212,7 @@ class Resolved:
 
 
 class Resolver:
-    """Schema-only local name resolution shared by the analyzer hook and
-    the planner rewriter.
+    """Schema-only local name resolution for the analyzer's inference hook.
 
     Mirrors the executor's scope rules for one block: a qualified
     reference binds to the first matching binding; an unqualified one
@@ -820,84 +791,6 @@ def truth(expr: Expr, resolver: Resolver) -> Truth:
 
 
 # ---------------------------------------------------------------------------
-# Constant folding
-# ---------------------------------------------------------------------------
-
-
-def _with_span(new: Expr, template: Expr) -> Expr:
-    """Copy the source span of ``template`` onto a rebuilt node."""
-    if template.span is not None:
-        object.__setattr__(new, "span", template.span)
-    return new
-
-
-def fold_constants(expr: Expr) -> Expr:
-    """Collapse literal-only arithmetic subtrees, mirroring the executor
-    exactly; anything the executor would raise on is left untouched.
-
-    Returns the original object when nothing folded, so identity-based
-    caches and ``expr in group_keys`` checks keep working.  Does not
-    descend into subquery statements.
-    """
-    if isinstance(expr, BinaryOp):
-        left = fold_constants(expr.left)
-        right = fold_constants(expr.right)
-        if expr.op in ("+", "-", "*", "/") and isinstance(left, Literal) and isinstance(right, Literal):
-            value = _fold_arith_values(expr.op, left.value, right.value)
-            if not isinstance(value, _NoConst):
-                return _with_span(Literal(value), expr)
-        if left is expr.left and right is expr.right:
-            return expr
-        return _with_span(BinaryOp(expr.op, left, right), expr)
-    if isinstance(expr, UnaryOp):
-        operand = fold_constants(expr.operand)
-        if expr.op == "-" and isinstance(operand, Literal):
-            if operand.value is None:
-                return _with_span(Literal(None), expr)
-            if isinstance(operand.value, (int, float)) and not isinstance(operand.value, bool):
-                return _with_span(Literal(-operand.value), expr)
-        if operand is expr.operand:
-            return expr
-        return _with_span(UnaryOp(expr.op, operand), expr)
-    if isinstance(expr, IsNull):
-        operand = fold_constants(expr.operand)
-        if operand is expr.operand:
-            return expr
-        return _with_span(IsNull(operand, expr.negated), expr)
-    if isinstance(expr, Between):
-        operand = fold_constants(expr.operand)
-        low = fold_constants(expr.low)
-        high = fold_constants(expr.high)
-        if operand is expr.operand and low is expr.low and high is expr.high:
-            return expr
-        return _with_span(Between(operand, low, high, expr.negated), expr)
-    if isinstance(expr, InList):
-        operand = fold_constants(expr.operand)
-        items = tuple(fold_constants(item) for item in expr.items)
-        if operand is expr.operand and all(a is b for a, b in zip(items, expr.items)):
-            return expr
-        return _with_span(InList(operand, items, expr.negated), expr)
-    if isinstance(expr, FuncCall):
-        args = tuple(fold_constants(arg) for arg in expr.args)
-        if all(a is b for a, b in zip(args, expr.args)):
-            return expr
-        return _with_span(FuncCall(expr.name, args, expr.distinct), expr)
-    if isinstance(expr, CaseExpr):
-        operand = fold_constants(expr.operand) if expr.operand is not None else None
-        whens = tuple((fold_constants(w), fold_constants(t)) for w, t in expr.whens)
-        default = fold_constants(expr.default) if expr.default is not None else None
-        if (
-            operand is expr.operand
-            and default is expr.default
-            and all(w is ow and t is ot for (w, t), (ow, ot) in zip(whens, expr.whens))
-        ):
-            return expr
-        return _with_span(CaseExpr(operand, whens, default), expr)
-    # Literal, ColumnRef, Star, SubqueryExpr, WindowFunction: leave as-is.
-    return expr
-
-
-# ---------------------------------------------------------------------------
 # WHERE-clause analysis: bounds, intervals, and reports
 # ---------------------------------------------------------------------------
 
@@ -914,7 +807,6 @@ class Bound:
     key: Tuple[str, str]
     label: str
     interval: Interval
-    is_equality: bool
 
 
 def _canon_bound_value(value: Any, dtype: DataType) -> Any:
@@ -960,7 +852,7 @@ def conjunct_bound(expr: Expr, resolver: Resolver) -> Optional[Bound]:
             interval = Interval(canon, None, low_open=True)
         else:
             interval = Interval(canon, None)
-        return Bound(res.key, ref.to_sql(), interval, op == "=")
+        return Bound(res.key, ref.to_sql(), interval)
     if (
         isinstance(expr, Between)
         and not expr.negated
@@ -975,7 +867,7 @@ def conjunct_bound(expr: Expr, resolver: Resolver) -> Optional[Bound]:
         hi = _canon_bound_value(expr.high.value, res.column.dtype)
         if lo is None or hi is None:
             return None
-        return Bound(res.key, expr.operand.to_sql(), Interval(lo, hi), False)
+        return Bound(res.key, expr.operand.to_sql(), Interval(lo, hi))
     return None
 
 
@@ -1006,18 +898,6 @@ class WhereReport:
     ranges: Dict[Tuple[str, str], RangeInfo]
     contradicted: List[Tuple[str, str]]
     issues: List[Issue]
-
-    @property
-    def all_pure(self) -> bool:
-        """Whether no conjunct can raise while being evaluated."""
-        return all(c.truth.pure for c in self.conjuncts)
-
-    @property
-    def never_satisfiable(self) -> bool:
-        """Whether the whole WHERE is provably never definite-true."""
-        if self.contradicted:
-            return True
-        return any(c.truth.never_true for c in self.conjuncts)
 
 
 def infer_where(conjuncts: Sequence[Expr], resolver: Resolver) -> WhereReport:
@@ -1075,44 +955,3 @@ def infer_where(conjuncts: Sequence[Expr], resolver: Resolver) -> WhereReport:
                 )
             )
     return WhereReport(infos, ranges, contradicted, issues)
-
-
-def implied_drops(infos: Sequence[ConjunctInfo]) -> List[int]:
-    """Indices of range conjuncts implied by the other range conjuncts
-    on the same column (``x > 5 AND x > 3`` → drop ``x > 3``).
-
-    Equality conjuncts are never dropped — they drive index scans.  The
-    caller must additionally check that every WHERE conjunct is pure
-    before applying the drops (removing a conjunct exposes later
-    conjuncts to rows they were previously short-circuited away from).
-    """
-    by_key: Dict[Tuple[str, str], List[int]] = {}
-    for i, info in enumerate(infos):
-        if info.bound is not None:
-            by_key.setdefault(info.bound.key, []).append(i)
-    drops: List[int] = []
-    for idxs in by_key.values():
-        if len(idxs) < 2:
-            continue
-        for i in idxs:
-            bound = infos[i].bound
-            assert bound is not None
-            if bound.is_equality:
-                continue
-            rest: List[Interval] = []
-            for j in idxs:
-                if j == i or j in drops:
-                    continue
-                other = infos[j].bound
-                assert other is not None
-                rest.append(other.interval)
-            if not rest:
-                continue
-            inter = rest[0]
-            for iv in rest[1:]:
-                inter = inter.intersect(iv)
-            if inter.is_empty():
-                continue  # contradiction handling owns this column
-            if bound.interval.contains(inter):
-                drops.append(i)
-    return drops

@@ -25,6 +25,9 @@ the naive path (``Executor(db, use_planner=False)``), and the
 differential test suite runs the full SQL corpus through both paths.
 Conjuncts that could change error behaviour (aggregates, ambiguous
 columns, sub-queries) are conservatively left in the residual filter.
+Conjuncts are placed, never rewritten or dropped: what static inference
+proves about a predicate (:mod:`repro.sqldb.inference`) reaches the
+user as the analyzer's SQL5xx warnings, not as a different plan.
 
 :class:`ExecutionStats` is the observability surface: per-query counters
 for rows scanned, hash probes, cache hits and the chosen strategy, which
@@ -50,7 +53,6 @@ from .ast import (
     split_conjuncts,
 )
 from .database import Database
-from .inference import Resolver, fold_constants, implied_drops, infer_where, truth
 from .schema import TableSchema
 
 
@@ -82,10 +84,6 @@ class ExecutionStats:
     preflight_checks: int = 0
     preflight_cache_hits: int = 0
     static_rejections: int = 0
-    #: WHERE conjuncts folded or dropped by the static inference pass
-    static_rewrites: int = 0
-    #: queries answered empty without scanning (provably-false WHERE)
-    static_short_circuits: int = 0
     strategy: str = ""
 
     def merge(self, other: "ExecutionStats") -> None:
@@ -165,15 +163,6 @@ class QueryPlan:
     residual_where: Tuple[Expr, ...]
     pushed_count: int
     subplans: Tuple["QueryPlan", ...] = ()
-    #: human-readable ``static: …`` rewrite notes for EXPLAIN
-    static_notes: Tuple[str, ...] = ()
-    #: number of conjuncts folded or dropped by static inference
-    static_rewrites: int = 0
-    #: the WHERE clause is provably never satisfiable — skip execution
-    provably_empty: bool = False
-    #: the simplified WHERE tree executors should evaluate (``None`` when
-    #: every conjunct was dropped, or the statement had no WHERE)
-    effective_where: Optional[Expr] = None
 
     def summary(self) -> str:
         """One-line strategy tag recorded in :class:`ExecutionStats`."""
@@ -188,10 +177,6 @@ class QueryPlan:
             parts.append("hash-join" if jp.strategy == "hash" else "nested-loop")
         if self.pushed_count:
             parts.append(f"pushed={self.pushed_count}")
-        if self.static_rewrites:
-            parts.append(f"static={self.static_rewrites}")
-        if self.provably_empty:
-            parts.append("static-empty")
         if self.subplans:
             parts.append(f"subqueries={len(self.subplans)}")
         return "+".join(parts)
@@ -200,8 +185,6 @@ class QueryPlan:
         """EXPLAIN-style multi-line rendering of the plan."""
         pad = "  " * indent
         lines = [f"{pad}plan: {self.statement.to_sql()}"]
-        for note in self.static_notes:
-            lines.append(f"{pad}  {note}")
         if self.base is None:
             lines.append(f"{pad}  -> constant single-row source")
         else:
@@ -225,42 +208,20 @@ _AMBIGUOUS = object()  # sentinel: resolution would raise in the naive path
 class Planner:
     """Rewrites SELECT statements into :class:`QueryPlan` physical plans."""
 
-    def __init__(self, database: Database, infer: bool = True):
+    def __init__(self, database: Database):
         self.database = database
-        #: whether the static inference pass may rewrite plans
-        self.infer = infer
 
     def plan(self, stmt: SelectStatement) -> QueryPlan:
         """Plan one SELECT block (and, for EXPLAIN, its sub-queries)."""
         subplans = tuple(self.plan(sub) for sub in stmt.subqueries())
         where_conjuncts = split_conjuncts(stmt.where)
         if stmt.from_table is None:
-            kept, notes, rewrites, never = self._simplify(where_conjuncts, [])
-            if never:
-                notes.append("static: WHERE is never satisfiable -> empty result")
-            return QueryPlan(
-                stmt,
-                None,
-                (),
-                tuple(kept),
-                0,
-                subplans,
-                tuple(notes),
-                rewrites,
-                never,
-                self._rebuild_where(stmt.where, where_conjuncts, kept),
-            )
+            return QueryPlan(stmt, None, (), tuple(where_conjuncts), 0, subplans)
 
         bindings = self._bindings(stmt)
-        kept, notes, rewrites, never = self._simplify(where_conjuncts, bindings)
-        provably_empty = never and self._on_conjuncts_pure(stmt, bindings)
-        if provably_empty:
-            notes.append("static: WHERE is never satisfiable -> empty result")
-        effective_where = self._rebuild_where(stmt.where, where_conjuncts, kept)
-
         pushed: Dict[str, List[Expr]] = {}
         residual: List[Expr] = []
-        for conjunct in kept:
+        for conjunct in where_conjuncts:
             target = self._conjunct_target(conjunct, bindings)
             if target is None:
                 residual.append(conjunct)
@@ -306,104 +267,7 @@ class Planner:
             tuple(residual),
             pushed_count,
             subplans,
-            tuple(notes),
-            rewrites,
-            provably_empty,
-            effective_where,
         )
-
-    # -- static inference ----------------------------------------------------
-
-    def _simplify(
-        self,
-        conjuncts: Sequence[Expr],
-        bindings: Sequence[Tuple[str, TableSchema]],
-    ) -> Tuple[List[Expr], List[str], int, bool]:
-        """Fold constants and drop provably-redundant WHERE conjuncts.
-
-        Returns ``(kept_conjuncts, notes, rewrite_count,
-        never_satisfiable)``.  ``never_satisfiable`` is only claimed when
-        every WHERE conjunct is *pure* (provably never raises): an impure
-        conjunct could raise on the first row, and short-circuiting the
-        scan would swallow that error.  Always-true conjuncts need only
-        their own purity to be dropped (a definite-true conjunct never
-        stops the executor's short-circuit walk), but implied-range drops
-        require the whole clause pure — removing a filter exposes later
-        conjuncts to rows they never used to see.
-        """
-        if not self.infer or not conjuncts:
-            return list(conjuncts), [], 0, False
-        notes: List[str] = []
-        rewrites = 0
-        folded: List[Expr] = []
-        for conjunct in conjuncts:
-            new = fold_constants(conjunct)
-            if new is not conjunct:
-                notes.append(f"static: folded {conjunct.to_sql()} -> {new.to_sql()}")
-                rewrites += 1
-            folded.append(new)
-
-        report = infer_where(folded, Resolver(bindings))
-        drop = set()
-        for i, info in enumerate(report.conjuncts):
-            if info.truth.always_true:
-                reason = info.truth.reason or "always true"
-                notes.append(
-                    f"static: dropped always-true {info.expr.to_sql()} ({reason})"
-                )
-                drop.add(i)
-        if report.all_pure:
-            for i in implied_drops(report.conjuncts):
-                if i not in drop:
-                    notes.append(
-                        "static: dropped implied "
-                        f"{report.conjuncts[i].expr.to_sql()}"
-                    )
-                    drop.add(i)
-        for _key, rng in sorted(report.ranges.items()):
-            if rng.count >= 2 and not rng.interval.is_empty() and not rng.interval.unbounded:
-                notes.append(f"static: {rng.label} in {rng.interval}")
-        rewrites += len(drop)
-        kept = [e for i, e in enumerate(folded) if i not in drop]
-        return kept, notes, rewrites, report.never_satisfiable and report.all_pure
-
-    def _rebuild_where(
-        self,
-        original: Optional[Expr],
-        before: Sequence[Expr],
-        after: Sequence[Expr],
-    ) -> Optional[Expr]:
-        """The WHERE tree executors should evaluate after simplification.
-
-        Returns the *original* object when nothing changed (identity
-        matters to downstream caches), ``None`` when every conjunct was
-        dropped, else a left-associated AND over the survivors.
-        """
-        if len(after) == len(before) and all(a is b for a, b in zip(after, before)):
-            return original
-        if not after:
-            return None
-        node = after[0]
-        for part in after[1:]:
-            node = BinaryOp("AND", node, part)
-        return node
-
-    def _on_conjuncts_pure(
-        self, stmt: SelectStatement, bindings: Sequence[Tuple[str, TableSchema]]
-    ) -> bool:
-        """Whether no ``JOIN … ON`` conjunct can raise at runtime.
-
-        Checked under the same incremental scopes the executor resolves
-        join conditions in (tables joined so far plus the new one) — a
-        provably-empty WHERE must not short-circuit past an ON clause
-        that would have raised.
-        """
-        for i, join in enumerate(stmt.joins):
-            resolver = Resolver(bindings[: i + 2])
-            for conjunct in split_conjuncts(join.condition):
-                if not truth(conjunct, resolver).pure:
-                    return False
-        return True
 
     # -- analysis helpers ----------------------------------------------------
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.harness import evaluate_system
+from repro.bench.workloads import QueryExample
 from repro.core import NLIDBContext
+from repro.core.complexity import ComplexityTier
 from repro.core.interpretation import Interpretation
 from repro.core.pipeline import NLIDBSystem
 from repro.nlp.thesaurus import DEFAULT_THESAURUS
@@ -165,36 +168,50 @@ class TestInterpretationCache:
         assert cache.get("s", "q", 2) is None
 
     def test_cached_answer_not_served_after_insert(self):
-        """Satellite: an INSERT must invalidate the interpretation cache
-        (and the executor's verdict caches) — the next answer reflects
-        the new data."""
+        """An INSERT between two cached sweeps must invalidate the
+        sweep's interpretation and match-verdict memos — the second
+        sweep scores against the new data."""
         db = _one_table_db()
-        context = NLIDBContext(db, interpretation_cache=InterpretationCache())
+        context = NLIDBContext(db)
         system = _CountingSystem()
+        cache = EvaluationCache()
+        # The gold query counts the first two ids only, so the verdict
+        # flips once a third employee lands.
+        examples = [
+            QueryExample(
+                "how many employees",
+                "SELECT COUNT(*) FROM emp WHERE id < 3",
+                ComplexityTier.AGGREGATION,
+                "perf",
+                "count",
+            )
+        ]
 
-        first = system.answer("how many employees", context)
-        assert first.rows[0][0] == 2
-        again = system.answer("how many employees", context)
-        assert again.rows[0][0] == 2
-        assert system.calls == 1  # second answer served from the cache
+        first = evaluate_system(system, context, examples, cache=cache)
+        again = evaluate_system(system, context, examples, cache=cache)
+        assert first[0].correct and again[0].correct
+        assert system.calls == 1  # second sweep served from the cache
 
         db.insert("emp", (3, "cho"))
-        after = system.answer("how many employees", context)
-        assert after.rows[0][0] == 3
+        after = evaluate_system(system, context, examples, cache=cache)
         assert system.calls == 2  # data_version moved: cache not served
+        assert not after[0].correct
 
-    def test_executor_analysis_cache_invalidates_on_insert(self):
+    def test_executor_analysis_cache_keyed_on_catalog(self):
+        """Pre-flight verdicts depend only on the statement and the
+        catalog: a write keeps them, a new table drops them."""
         db = _one_table_db()
         executor = db.executor
-        stmt_a = parse_select("SELECT id FROM emp")
-        stmt_b = parse_select("SELECT name FROM emp")
-        executor.analysis_for(stmt_a)
-        executor.analysis_for(stmt_b)
-        assert len(executor._analysis_cache) == 2
+        stmt = parse_select("SELECT id FROM emp")
+        executor.execute(stmt)
+        assert executor.last_stats.preflight_cache_hits == 0
         db.insert("emp", (4, "dia"))
-        executor.analysis_for(stmt_a)
-        # the INSERT bumped data_version: old verdicts were dropped
-        assert len(executor._analysis_cache) == 1
+        assert len(executor.execute(stmt).rows) == 3
+        assert executor.last_stats.preflight_checks == 1
+        assert executor.last_stats.preflight_cache_hits == 1
+        db.create_table(TableSchema("dept", [Column("id", DataType.INTEGER)]))
+        executor.execute(stmt)
+        assert executor.last_stats.preflight_cache_hits == 0
 
 
 class TestThesaurusCopyOnWrite:

@@ -108,17 +108,16 @@ class TestDifferentialCorpora:
         assert ex.total_stats.vectorized >= 10
 
     def test_telemetry_workload(self):
-        """The generated telemetry workload agrees on the naive, row,
-        columnar and inference-off columnar paths, and every scan-heavy
-        class runs on the vectorized kernels."""
+        """The generated telemetry workload agrees on the naive, row and
+        columnar paths, and every scan-heavy class runs on the
+        vectorized kernels."""
         db = build_telemetry_db(2_000, seed=0)
         naive = Executor(db, use_planner=False)
         row = Executor(db, use_columnar=False)
-        infer_off = Executor(db, infer=False)
         col = Executor(db)
         for query in generate_telemetry_queries(2_000, 3, seed=0):
             expected = _strict_rows(naive.execute_sql(query.sql))
-            for executor in (row, infer_off, col):
+            for executor in (row, col):
                 assert _strict_rows(executor.execute_sql(query.sql)) == expected, query.sql
             if query.template in SCAN_HEAVY_CLASSES:
                 assert col.last_stats.vectorized == 1, query.sql

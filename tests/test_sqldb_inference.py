@@ -1,27 +1,26 @@
-"""Tests for the static inference pass (nullability, constant folding,
-predicate simplification) across all four layers it touches:
+"""Tests for the static inference pass (nullability, constant facts,
+predicate verdicts) and for the engine paths around it:
 
 1. **Core** — :mod:`repro.sqldb.inference` unit tests: interval algebra,
-   per-expression facts, three-valued truth verdicts, constant folding,
-   WHERE-report issues, and implied-range drops.
+   per-expression facts, three-valued truth verdicts, and WHERE-report
+   issues.
 2. **Analyzer** — SQL501/502/503 warnings with source spans.
-3. **Planner/executor** — ``static:`` rewrite notes, the
-   ``effective_where`` contract, provably-empty short-circuits (including
-   grouped aggregates over the empty result), and the new
-   ``ExecutionStats`` counters.
-4. **Columnar** — the ``(true, unknown)`` mask connectives against the
+3. **Columnar** — the ``(true, unknown)`` mask connectives against the
    row path's Kleene helpers, and the two-valued representation of
    NULL-free predicates (``unknown is None``).
 
-The differential section is the load-bearing guarantee: every corpus the
-columnar engine is tested on must return byte-identical results with
-inference on and off (``infer=False`` escape hatch).
+Plans are never rewritten from inference verdicts.  The differential
+section runs every corpus through planned-row and columnar execution
+against the naive interpreter, and checks the shapes a plan rewriter
+would target (tautologies, implied and contradictory ranges, literal
+arithmetic, ``IS NOT NULL`` on a NOT NULL column) against sqlite3.
 """
 
 from __future__ import annotations
 
 import datetime
 import itertools
+import sqlite3
 
 import hypothesis.strategies as st
 import numpy as np
@@ -32,7 +31,6 @@ from repro.sqldb import (
     Column,
     Database,
     DataType,
-    SqlError,
     TableSchema,
     parse_expression,
     parse_select,
@@ -48,15 +46,12 @@ from repro.sqldb.inference import (
     Interval,
     Resolver,
     fact,
-    fold_constants,
-    implied_drops,
     infer_where,
     truth,
 )
-from repro.sqldb.planner import Planner
 from repro.sqldb.ast import split_conjuncts
 
-from tests.test_sqldb_columnar import _prop_db, _where
+from tests.test_sqldb_columnar import _prop_db, _where, assert_three_paths_agree
 from tests.test_sqldb_null_semantics import CORPUS as NULL_CORPUS
 from tests.test_sqldb_null_semantics import ROWS as NULL_ROWS
 from tests.test_sqldb_planner import (
@@ -135,12 +130,6 @@ class TestInterval:
         iv = Interval(2.0, 4.0, high_open=True)
         got = Interval().intersect(iv)
         assert (got.low, got.high, got.high_open) == (2.0, 4.0, True)
-
-    def test_contains(self):
-        assert Interval(1.0, None).contains(Interval(3.0, 5.0))
-        assert not Interval(4.0, None).contains(Interval(3.0, 5.0))
-        # open superset boundary does not contain a closed endpoint
-        assert not Interval(3.0, None, low_open=True).contains(Interval(3.0, 5.0))
 
     def test_str_renderings(self):
         assert str(Interval(5.0, 5.0)) == "{5}"
@@ -221,37 +210,13 @@ class TestTruth:
         assert not t.never_true and not t.always_true and not t.pure
 
 
-class TestFoldConstants:
-    def test_folds_literal_arithmetic(self):
-        folded = fold_constants(parse_expression("a > 2 + 3"))
-        assert folded.to_sql() == "a > 5"
-
-    def test_identity_preserved_when_nothing_folds(self):
-        expr = parse_expression("a > 5 AND s = 'x'")
-        assert fold_constants(expr) is expr
-
-    def test_column_arithmetic_never_folds(self):
-        expr = parse_expression("a + 1 > 5")
-        assert fold_constants(expr) is expr
-
-    def test_null_arithmetic_folds_to_null(self):
-        folded = fold_constants(parse_expression("a > NULL + 1"))
-        assert folded.to_sql() == "a > NULL"
-
-    def test_unary_minus_folds(self):
-        folded = fold_constants(parse_expression("a > -(2 + 3)"))
-        assert folded.to_sql() == "a > -5"
-
-
 class TestInferWhere:
     def test_range_contradiction_reported(self):
         report = infer_where(_conjuncts("a > 5 AND a < 3"), _resolver())
-        assert report.never_satisfiable
         assert any(i.code == "SQL501" for i in report.issues)
 
     def test_compatible_ranges_intersect(self):
         report = infer_where(_conjuncts("a > 2 AND a < 9"), _resolver())
-        assert not report.never_satisfiable
         (info,) = [r for r in report.ranges.values()]
         assert str(info.interval) == "(2, 9)"
         assert info.count == 2
@@ -259,20 +224,6 @@ class TestInferWhere:
     def test_tautology_reported(self):
         report = infer_where(_conjuncts("1 = 1 AND a > 2"), _resolver())
         assert any(i.code == "SQL502" for i in report.issues)
-
-    def test_implied_drops_keep_tightest(self):
-        report = infer_where(_conjuncts("a > 5 AND a > 3"), _resolver())
-        drops = implied_drops(report.conjuncts)
-        assert drops == [1]  # a > 3 is implied by a > 5
-
-    def test_implied_drops_never_drop_equality(self):
-        report = infer_where(_conjuncts("a = 5 AND a > 3"), _resolver())
-        drops = implied_drops(report.conjuncts)
-        assert all(not report.conjuncts[i].bound.is_equality for i in drops)
-
-    def test_all_pure_false_when_conjunct_may_raise(self):
-        report = infer_where(_conjuncts("a > 5 AND s / 2 > 1"), _resolver())
-        assert not report.all_pure
 
 
 # ---------------------------------------------------------------------------
@@ -307,138 +258,6 @@ class TestAnalyzerWarnings:
         db = _db()
         result = db.analyze_sql("SELECT id FROM t WHERE a > 3 AND s = 'x'")
         assert not [d for d in result.diagnostics if d.code.startswith("SQL5")]
-
-
-# ---------------------------------------------------------------------------
-# Planner rewrites
-# ---------------------------------------------------------------------------
-
-
-class TestPlannerRewrites:
-    def test_constant_folding_note_and_rewrite(self):
-        db = _db()
-        planner = Planner(db)
-        plan = planner.plan(parse_select("SELECT id FROM t WHERE a > 2 + 3"))
-        assert plan.static_rewrites >= 1
-        assert any("folded" in note for note in plan.static_notes)
-        assert plan.effective_where is not None
-        assert plan.effective_where.to_sql() == "a > 5"
-
-    def test_tautology_dropped(self):
-        db = _db()
-        plan = Planner(db).plan(parse_select("SELECT id FROM t WHERE 1 = 1 AND a > 2"))
-        assert any("always-true" in note for note in plan.static_notes)
-        assert plan.effective_where.to_sql() == "a > 2"
-
-    def test_whole_where_dropped_to_none(self):
-        db = _db()
-        plan = Planner(db).plan(parse_select("SELECT id FROM t WHERE 1 = 1"))
-        assert plan.static_rewrites >= 1
-        assert plan.effective_where is None
-
-    def test_implied_range_dropped(self):
-        db = _db()
-        plan = Planner(db).plan(parse_select("SELECT id FROM t WHERE a > 5 AND a > 3"))
-        assert any("implied" in note for note in plan.static_notes)
-        assert plan.effective_where.to_sql() == "a > 5"
-
-    def test_provably_empty_flag(self):
-        db = _db()
-        plan = Planner(db).plan(parse_select("SELECT id FROM t WHERE a > 5 AND a < 3"))
-        assert plan.provably_empty
-        assert "static-empty" in plan.summary()
-
-    def test_impure_conjunct_blocks_implied_drop(self):
-        # dropping "a > 3" would expose "s / 2 > 1" (a type error at
-        # runtime) to rows it never previously saw
-        db = _db()
-        plan = Planner(db).plan(
-            parse_select("SELECT id FROM t WHERE a > 5 AND a > 3 AND s / 2 > 1")
-        )
-        assert not any("implied" in note for note in plan.static_notes)
-
-    def test_effective_where_is_original_object_when_unchanged(self):
-        db = _db()
-        stmt = parse_select("SELECT id FROM t WHERE a > 3")
-        plan = Planner(db).plan(stmt)
-        assert plan.effective_where is stmt.where
-        assert plan.static_rewrites == 0
-
-    def test_infer_false_disables_rewrites(self):
-        db = _db()
-        plan = Planner(db, infer=False).plan(
-            parse_select("SELECT id FROM t WHERE 1 = 1 AND a > 5 AND a < 3")
-        )
-        assert plan.static_rewrites == 0
-        assert not plan.provably_empty
-        assert plan.static_notes == ()
-
-    def test_describe_renders_static_notes(self):
-        db = _db()
-        ex = Executor(db)
-        text = ex.explain_sql("SELECT id FROM t WHERE 2 + 3 = 5 AND a > 5 AND a > 3")
-        assert "static: folded 2 + 3 = 5 -> 5 = 5" in text
-        assert "static: dropped always-true 5 = 5 (constant comparison is true)" in text
-        assert "static: dropped implied a > 3" in text
-        assert "static: a in (5, inf)" in text
-
-    def test_describe_renders_never_satisfiable(self):
-        db = _db()
-        ex = Executor(db)
-        text = ex.explain_sql("SELECT id FROM t WHERE a > 5 AND a < 3")
-        assert "static: WHERE is never satisfiable -> empty result" in text
-
-
-# ---------------------------------------------------------------------------
-# Executor: short-circuits and stats
-# ---------------------------------------------------------------------------
-
-
-class TestExecutorShortCircuit:
-    def test_empty_result_without_scanning(self):
-        db = _db(200)
-        ex = Executor(db)
-        result = ex.execute_sql("SELECT id FROM t WHERE a > 5 AND a < 3")
-        assert result.rows == []
-        assert ex.last_stats.static_short_circuits == 1
-        assert ex.last_stats.rows_scanned == 0
-
-    def test_grouped_aggregate_over_empty_keeps_count_zero_row(self):
-        db = _db()
-        ex = Executor(db)
-        naive = Executor(db, use_planner=False)
-        for sql in [
-            "SELECT COUNT(*) FROM t WHERE 1 = 0",
-            "SELECT COUNT(*), SUM(a), MIN(a), MAX(a) FROM t WHERE a = NULL",
-            "SELECT s, COUNT(*) FROM t WHERE a > 5 AND a < 3 GROUP BY s",
-        ]:
-            got = ex.execute_sql(sql)
-            expected = naive.execute_sql(sql)
-            assert _strict_rows(got) == _strict_rows(expected), sql
-            assert got.columns == expected.columns, sql
-        assert ex.total_stats.static_short_circuits == 3
-
-    def test_no_from_clause_short_circuit(self):
-        db = _db()
-        ex = Executor(db)
-        naive = Executor(db, use_planner=False)
-        sql = "SELECT 1 WHERE 1 = 0"
-        assert _strict_rows(ex.execute_sql(sql)) == _strict_rows(naive.execute_sql(sql))
-
-    def test_static_rewrites_counter(self):
-        db = _db()
-        ex = Executor(db)
-        ex.execute_sql("SELECT id FROM t WHERE 1 = 1 AND a > 2 + 3")
-        assert ex.last_stats.static_rewrites >= 2
-
-    def test_infer_false_executor_matches(self):
-        db = _db()
-        on = Executor(db)
-        off = Executor(db, infer=False)
-        sql = "SELECT id FROM t WHERE a > 5 AND a < 3"
-        assert _strict_rows(on.execute_sql(sql)) == _strict_rows(off.execute_sql(sql))
-        assert off.last_stats.static_rewrites == 0
-        assert off.last_stats.static_short_circuits == 0
 
 
 # ---------------------------------------------------------------------------
@@ -614,39 +433,37 @@ class TestTwoValuedKernels:
 
 
 # ---------------------------------------------------------------------------
-# Differential: inference on vs off, byte identical
+# Differential: planned-row and columnar vs naive, and vs sqlite3
 # ---------------------------------------------------------------------------
 
-
-def assert_infer_on_off_agree(db, sql):
-    on = Executor(db, use_planner=True, use_columnar=True)
-    off = Executor(db, use_planner=True, use_columnar=True, infer=False)
-    naive = Executor(db, use_planner=False)
-    try:
-        expected = naive.execute_sql(sql)
-    except SqlError as exc:
-        for planned in (on, off):
-            with pytest.raises(type(exc)):
-                planned.execute_sql(sql)
-        return
-    for planned in (on, off):
-        got = planned.execute_sql(sql)
-        assert got.columns == expected.columns, sql
-        assert _strict_rows(got) == _strict_rows(expected), sql
+#: one query per shape a static plan rewriter would target: a tautology,
+#: literal arithmetic, an implied range, a contradictory range, a NULL
+#: comparison, BETWEEN plus an implied bound, IS NOT NULL on a NOT NULL
+#: key, and the negated contradiction
+REWRITE_SHAPES = [
+    "SELECT id FROM t WHERE 1 = 1 AND a > 3",
+    "SELECT id FROM t WHERE a > 2 + 3",
+    "SELECT id FROM t WHERE a > 5 AND a > 3",
+    "SELECT id FROM t WHERE a > 5 AND a < 3",
+    "SELECT COUNT(*), SUM(a) FROM t WHERE a = NULL",
+    "SELECT id FROM t WHERE a BETWEEN 2 AND 8 AND a > 4",
+    "SELECT s, COUNT(*) FROM t WHERE id IS NOT NULL GROUP BY s ORDER BY s",
+    "SELECT id FROM t WHERE NOT (a > 5 AND a < 3)",
+]
 
 
 class TestDifferentialInference:
     @pytest.mark.parametrize("sql", EMP_CORPUS)
     def test_emp_corpus(self, emp_db, sql):
-        assert_infer_on_off_agree(emp_db, sql)
+        assert_three_paths_agree(emp_db, sql)
 
     @pytest.mark.parametrize("sql", SHOP_CORPUS)
     def test_shop_corpus(self, shop_db, sql):
-        assert_infer_on_off_agree(shop_db, sql)
+        assert_three_paths_agree(shop_db, sql)
 
     @pytest.mark.parametrize("sql", ERROR_CORPUS)
     def test_error_corpus(self, emp_db, sql):
-        assert_infer_on_off_agree(emp_db, sql)
+        assert_three_paths_agree(emp_db, sql)
 
     @pytest.mark.parametrize("sql", NULL_CORPUS)
     def test_null_corpus(self, sql):
@@ -663,25 +480,96 @@ class TestDifferentialInference:
             )
         )
         db.insert_many("t", [list(r) for r in NULL_ROWS])
-        assert_infer_on_off_agree(db, sql)
+        assert_three_paths_agree(db, sql)
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(where=_where(), agg=st.sampled_from(["id", "COUNT(*), SUM(a), MIN(s)"]))
     def test_property_predicates(self, where, agg):
-        assert_infer_on_off_agree(_prop_db(), f"SELECT {agg} FROM v WHERE {where}")
+        assert_three_paths_agree(_prop_db(), f"SELECT {agg} FROM v WHERE {where}")
 
     def test_rewriting_queries_specifically(self):
-        # Queries chosen to trigger each rewrite class, checked against
-        # the naive path.
         db = _db(200)
-        for sql in [
-            "SELECT id FROM t WHERE 1 = 1 AND a > 3",
-            "SELECT id FROM t WHERE a > 2 + 3",
-            "SELECT id FROM t WHERE a > 5 AND a > 3",
-            "SELECT id FROM t WHERE a > 5 AND a < 3",
-            "SELECT COUNT(*), SUM(a) FROM t WHERE a = NULL",
-            "SELECT id FROM t WHERE a BETWEEN 2 AND 8 AND a > 4",
+        for sql in REWRITE_SHAPES:
+            assert_three_paths_agree(db, sql)
+
+
+def _sqlite_mirror(db: Database) -> sqlite3.Connection:
+    """An in-memory sqlite3 copy of every table in ``db`` (dates as ISO
+    text, booleans as 0/1)."""
+    oracle = sqlite3.connect(":memory:")
+    for table in db.tables:
+        names = [c.name for c in table.schema]
+        oracle.execute(f"CREATE TABLE {table.name} ({', '.join(names)})")
+        oracle.executemany(
+            f"INSERT INTO {table.name} VALUES ({', '.join('?' for _ in names)})",
+            [tuple(_sqlite_value(v) for v in row) for row in table.rows],
+        )
+    return oracle
+
+
+def _sqlite_value(value):
+    if isinstance(value, datetime.date):
+        return value.isoformat()
+    if isinstance(value, bool):
+        return int(value)
+    return value
+
+
+def _tagged(rows, ordered: bool):
+    """Rows as ``(type name, value)`` tuples in sqlite3's value domain."""
+    out = [tuple((type(v).__name__, v) for v in map(_sqlite_value, row)) for row in rows]
+    return out if ordered else sorted(out, key=repr)
+
+
+class TestRewriteShapesVsSqlite:
+    """The shapes static plan rewrites used to absorb run as written on
+    every engine path and match sqlite3 value for value, type for type."""
+
+    def _check(self, db: Database, oracle: sqlite3.Connection, sql: str):
+        ordered = "ORDER BY" in sql
+        expected = _tagged(oracle.execute(sql).fetchall(), ordered)
+        paths = (
+            Executor(db, use_planner=False),
+            Executor(db, use_columnar=False),
+            Executor(db),
+        )
+        for ex in paths:
+            assert _tagged(ex.execute_sql(sql).rows, ordered) == expected, sql
+        return paths[-1]
+
+    def test_rewrite_shapes_match_sqlite(self):
+        db = _db(200)
+        oracle = _sqlite_mirror(db)
+        for sql in REWRITE_SHAPES + ["SELECT 1 WHERE 1 = 0"]:
+            self._check(db, oracle, sql)
+
+    def test_contradictory_range_aggregates(self):
+        db = _db(200)
+        oracle = _sqlite_mirror(db)
+        col = self._check(db, oracle, "SELECT COUNT(*) FROM t WHERE a > 5 AND a < 3")
+        assert col.last_stats.vectorized == 1
+        assert col.execute_sql("SELECT COUNT(*) FROM t WHERE a > 5 AND a < 3").rows == [(0,)]
+        self._check(db, oracle, "SELECT s, COUNT(*) FROM t WHERE a > 5 AND a < 3 GROUP BY s")
+        assert col.last_stats.vectorized == 1
+
+    def test_telemetry_contradictory_range_scans_vectorized(self):
+        db = _telemetry()
+        oracle = _sqlite_mirror(db)
+        sql = (
+            "SELECT COUNT(*), SUM(duration_ms) FROM telemetry "
+            "WHERE device_id > 100 AND device_id < 50"
+        )
+        col = self._check(db, oracle, sql)
+        assert col.last_stats.vectorized == 1
+        assert col.last_stats.rows_scanned == len(db.table("telemetry"))
+        assert col.execute_sql(sql).rows == [(0, None)]
+
+    def test_is_not_null_on_not_null_key_scans_vectorized(self):
+        db = _db(200)
+        oracle = _sqlite_mirror(db)
+        for sql in (
+            "SELECT COUNT(*) FROM t WHERE id IS NOT NULL",
             "SELECT s, COUNT(*) FROM t WHERE id IS NOT NULL GROUP BY s ORDER BY s",
-            "SELECT id FROM t WHERE NOT (a > 5 AND a < 3)",
-        ]:
-            assert_infer_on_off_agree(db, sql)
+        ):
+            col = self._check(db, oracle, sql)
+            assert col.last_stats.vectorized == 1, sql

@@ -167,15 +167,15 @@ class TestDdlRoundTrip:
         with pytest.raises(SchemaError):
             db.create_table_sql("CREATE TABLE t (a INT)")
 
-    def test_not_null_feeds_static_inference(self):
-        # The planner proves IS NOT NULL tautological only because the
-        # parsed DDL carried nullable=False through to the catalog.
-        from repro.sqldb import parse_select
-
+    def test_not_null_feeds_analyzer_nullability(self):
+        # The analyzer proves IS NOT NULL tautological (SQL502) only
+        # because the parsed DDL carried nullable=False to the catalog.
         db = Database("inference-ddl")
         db.create_table_sql("CREATE TABLE t (id INT PRIMARY KEY NOT NULL, v INT)")
         db.insert("t", [1, None])
         db.insert("t", [2, 5])
-        plan = db.executor._plan_for(parse_select("SELECT id FROM t WHERE id IS NOT NULL"))
-        assert plan.static_rewrites >= 1
-        assert plan.effective_where is None
+        key = db.analyze_sql("SELECT id FROM t WHERE id IS NOT NULL")
+        assert "SQL502" in key.codes()
+        nullable = db.analyze_sql("SELECT id FROM t WHERE v IS NOT NULL")
+        assert "SQL502" not in nullable.codes()
+        assert db.execute_sql("SELECT id FROM t WHERE id IS NOT NULL").rows == [(1,), (2,)]
