@@ -525,9 +525,14 @@ class TestRewriteShapesVsSqlite:
     """The shapes static plan rewrites used to absorb run as written on
     every engine path and match sqlite3 value for value, type for type."""
 
-    def _check(self, db: Database, oracle: sqlite3.Connection, sql: str):
+    def _check(self, db: Database, sql: str) -> Executor:
+        """Assert every path matches sqlite3; return the columnar executor."""
         ordered = "ORDER BY" in sql
-        expected = _tagged(oracle.execute(sql).fetchall(), ordered)
+        oracle = _sqlite_mirror(db)
+        try:
+            expected = _tagged(oracle.execute(sql).fetchall(), ordered)
+        finally:
+            oracle.close()
         paths = (
             Executor(db, use_planner=False),
             Executor(db, use_columnar=False),
@@ -539,37 +544,34 @@ class TestRewriteShapesVsSqlite:
 
     def test_rewrite_shapes_match_sqlite(self):
         db = _db(200)
-        oracle = _sqlite_mirror(db)
         for sql in REWRITE_SHAPES + ["SELECT 1 WHERE 1 = 0"]:
-            self._check(db, oracle, sql)
+            self._check(db, sql)
 
     def test_contradictory_range_aggregates(self):
         db = _db(200)
-        oracle = _sqlite_mirror(db)
-        col = self._check(db, oracle, "SELECT COUNT(*) FROM t WHERE a > 5 AND a < 3")
+        sql = "SELECT COUNT(*) FROM t WHERE a > 5 AND a < 3"
+        col = self._check(db, sql)
         assert col.last_stats.vectorized == 1
-        assert col.execute_sql("SELECT COUNT(*) FROM t WHERE a > 5 AND a < 3").rows == [(0,)]
-        self._check(db, oracle, "SELECT s, COUNT(*) FROM t WHERE a > 5 AND a < 3 GROUP BY s")
+        assert col.execute_sql(sql).rows == [(0,)]
+        col = self._check(db, "SELECT s, COUNT(*) FROM t WHERE a > 5 AND a < 3 GROUP BY s")
         assert col.last_stats.vectorized == 1
 
     def test_telemetry_contradictory_range_scans_vectorized(self):
         db = _telemetry()
-        oracle = _sqlite_mirror(db)
         sql = (
             "SELECT COUNT(*), SUM(duration_ms) FROM telemetry "
             "WHERE device_id > 100 AND device_id < 50"
         )
-        col = self._check(db, oracle, sql)
+        col = self._check(db, sql)
         assert col.last_stats.vectorized == 1
         assert col.last_stats.rows_scanned == len(db.table("telemetry"))
         assert col.execute_sql(sql).rows == [(0, None)]
 
     def test_is_not_null_on_not_null_key_scans_vectorized(self):
         db = _db(200)
-        oracle = _sqlite_mirror(db)
         for sql in (
             "SELECT COUNT(*) FROM t WHERE id IS NOT NULL",
             "SELECT s, COUNT(*) FROM t WHERE id IS NOT NULL GROUP BY s ORDER BY s",
         ):
-            col = self._check(db, oracle, sql)
+            col = self._check(db, sql)
             assert col.last_stats.vectorized == 1, sql
