@@ -75,14 +75,19 @@ from repro.sqldb.executor import Executor
 SEED = 0
 
 
-def timeit(fn: Callable[[], object], repeat: int) -> float:
-    """Best-of-``repeat`` wall time in seconds."""
-    best = float("inf")
+def timed_runs(fn: Callable[[], object], repeat: int) -> List[float]:
+    """Wall time in seconds of each of ``repeat`` runs."""
+    runs = []
     for _ in range(repeat):
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        runs.append(time.perf_counter() - start)
+    return runs
+
+
+def timeit(fn: Callable[[], object], repeat: int) -> float:
+    """Best-of-``repeat`` wall time in seconds."""
+    return min(timed_runs(fn, repeat))
 
 
 def strict_rows(relation: Any) -> List[tuple]:
@@ -92,6 +97,10 @@ def strict_rows(relation: Any) -> List[tuple]:
 
 def _title(text: str, quick: bool) -> str:
     return text + (" [quick]" if quick else "")
+
+
+def _span(runs: List[float]) -> str:
+    return f"{min(runs):.4f}-{max(runs):.4f}"
 
 
 # -- planner -------------------------------------------------------------------
@@ -408,10 +417,21 @@ def columnar(quick: bool) -> None:
     def run_all(executor: Executor, sqls: List[str]) -> Callable[[], None]:
         return lambda: [executor.execute_sql(sql) for sql in sqls]
 
+    # Every repeat is kept beside the best: whole runs of unchanged code
+    # have moved a class's best by tens of percent, so an old -> new
+    # comparison needs the spread.
     classes = {}
     for template, sqls in by_class.items():
-        row_s, col_s = timeit(run_all(row, sqls), 2), timeit(run_all(col, sqls), 2)
-        classes[template] = {"row_s": row_s, "columnar_s": col_s, "speedup": row_s / col_s}
+        row_runs = timed_runs(run_all(row, sqls), 2)
+        col_runs = timed_runs(run_all(col, sqls), 2)
+        row_s, col_s = min(row_runs), min(col_runs)
+        classes[template] = {
+            "row_s": row_s,
+            "columnar_s": col_s,
+            "speedup": row_s / col_s,
+            "row_runs_s": row_runs,
+            "columnar_runs_s": col_runs,
+        }
 
     profiler = StageProfiler()
     with profiler.activate():
@@ -431,7 +451,9 @@ def columnar(quick: bool) -> None:
         {
             "workload class": template,
             "row_s": f"{stats['row_s']:.4f}",
+            "row min-max": _span(stats["row_runs_s"]),
             "columnar_s": f"{stats['columnar_s']:.4f}",
+            "columnar min-max": _span(stats["columnar_runs_s"]),
             "speedup": f"{stats['speedup']:.1f}x",
         }
         for template, stats in sorted(classes.items())

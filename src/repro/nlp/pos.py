@@ -106,18 +106,3 @@ def _contextual_repair(tokens: List[Token]) -> None:
             and token.norm in lexicon.COMMON_VERBS
         ):
             token.pos = "VB"
-
-
-def is_noun(pos: str) -> bool:
-    """Whether the tag denotes a noun (incl. proper and plural)."""
-    return pos.startswith("NN")
-
-
-def is_verb(pos: str) -> bool:
-    """Whether the tag denotes a verb form."""
-    return pos.startswith("VB")
-
-
-def is_wh(pos: str) -> bool:
-    """Whether the tag denotes a wh-word."""
-    return pos in ("WP", "WRB")

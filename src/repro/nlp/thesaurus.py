@@ -182,11 +182,6 @@ class Thesaurus:
         self._add_ring(set(words))
         self._invalidate_memos()
 
-    def add_hypernym(self, child: str, parent: str) -> None:
-        """Add an IS-A edge ``child -> parent`` to the taxonomy."""
-        self._hypernyms[child.lower()] = parent.lower()
-        self._invalidate_memos()
-
     def synonyms(self, word: str) -> Set[str]:
         """All synonyms of ``word`` (including itself), lemma-aware."""
         w = word.lower()

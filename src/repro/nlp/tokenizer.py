@@ -51,11 +51,6 @@ class Token:
     lemma: Optional[str] = None
 
     @property
-    def is_word(self) -> bool:
-        """Whether this token is an alphabetic word."""
-        return self.kind == "word"
-
-    @property
     def is_number(self) -> bool:
         """Whether this token is a numeric literal."""
         return self.kind == "number"

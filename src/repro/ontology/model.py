@@ -31,11 +31,6 @@ class DataProperty:
     dtype: DataType
     synonyms: Tuple[str, ...] = ()
 
-    @property
-    def qualified_name(self) -> str:
-        """``concept.property`` form used in OQL and explanations."""
-        return f"{self.concept}.{self.name}"
-
     def surface_forms(self) -> Set[str]:
         """All names this property answers to (lower-cased)."""
         return {self.name.lower(), *(s.lower() for s in self.synonyms)}
@@ -160,11 +155,6 @@ class Ontology:
         """Properties (of any concept) matching ``surface`` exactly."""
         s = surface.lower()
         return [p for p in self.all_properties() if s in p.surface_forms()]
-
-    def find_relations(self, surface: str) -> List[Relation]:
-        """Relations matching ``surface`` exactly."""
-        s = surface.lower()
-        return [r for r in self.relations if s in r.surface_forms()]
 
     # -- hierarchy ----------------------------------------------------------------
 

@@ -386,7 +386,7 @@ class SemanticAnalyzer:
             join_scope = _Scope(bindings[: base_count + i + 1], parent)
             self._infer(join.condition, join_scope, _Ctx(clause="JOIN condition"))
 
-        grouped = bool(stmt.group_by) or self._projects_aggregate(stmt)
+        grouped = stmt.is_grouped()
 
         if stmt.where is not None:
             self._infer(stmt.where, scope, _Ctx(clause="WHERE"))
@@ -516,19 +516,6 @@ class SemanticAnalyzer:
         if width is None:
             return None
         return width + sum(len(s) for s in matching)
-
-    def _projects_aggregate(self, stmt: SelectStatement) -> bool:
-        # Mirror of Executor._projects_aggregate: aggregates in the select
-        # list or HAVING (not ORDER BY) make the query grouped.
-        for item in stmt.select_items:
-            for node in item.expr.walk():
-                if isinstance(node, FuncCall) and node.is_aggregate:
-                    return True
-        if stmt.having is not None:
-            for node in stmt.having.walk():
-                if isinstance(node, FuncCall) and node.is_aggregate:
-                    return True
-        return False
 
     # -- name resolution ----------------------------------------------------
 

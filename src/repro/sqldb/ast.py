@@ -508,6 +508,20 @@ class SelectStatement(SqlNode):
             isinstance(e, FuncCall) and e.is_aggregate for e in self.all_expressions()
         )
 
+    def is_grouped(self) -> bool:
+        """Whether the block evaluates per group: it has a GROUP BY, or
+        its select list or HAVING aggregates (ORDER BY alone does not)."""
+        if self.group_by:
+            return True
+        roots = [item.expr for item in self.select_items]
+        if self.having is not None:
+            roots.append(self.having)
+        return any(
+            isinstance(node, FuncCall) and node.is_aggregate
+            for root in roots
+            for node in root.walk()
+        )
+
     def referenced_tables(self) -> List[str]:
         """Names of tables in this block's FROM/JOIN clauses (not nested)."""
         out = []

@@ -14,7 +14,7 @@ Design rules, in priority order:
    produces must be indistinguishable — values, value *types*, row
    order, and raised exceptions — from ``Executor(db, use_planner=True,
    use_columnar=False)``.  The differential corpora in
-   ``tests/test_sqldb_columnar.py`` enforce this.  Three techniques make
+   ``tests/test_sqldb_columnar.py`` enforce this.  Four techniques make
    it tractable:
 
    - predicates are vectorized only when the kernel provably mirrors
@@ -28,7 +28,12 @@ Design rules, in priority order:
      and bit patterns are preserved;
    - anything outside the supported envelope raises :class:`_Unsupported`
      at compile time and the query **falls back** to the row path, which
-     then produces the canonical behaviour (including errors).
+     then produces the canonical behaviour (including errors);
+   - grouped blocks are not mirrored: the engine partitions the surviving
+     rows and hands :class:`_GroupCtx` views to the executor's one
+     grouped evaluator, so HAVING, CASE, ORDER BY keys and every
+     per-value rule (:mod:`repro.sqldb.types`) run the row path's code.
+     Only an aggregate over a local column is computed on the arrays.
 
 2. **Three-valued logic as a pair of bool masks.**  Every kernel returns
    disjoint ``(true, unknown)`` arrays (FALSE is neither), and
@@ -52,7 +57,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - the toolchain bakes numpy in
     import numpy as np
@@ -74,15 +79,8 @@ from .ast import (
     UnaryOp,
     WindowFunction,
 )
-from .errors import (
-    AggregateArityError,
-    ArithmeticTypeError,
-    GroupedStarError,
-    NestedAggregateError,
-    UnknownFunctionError,
-)
-from .functions import AGGREGATE_FUNCTIONS, call_scalar
-from .types import DataType, iso_date_or_none, values_compare, values_equal
+from .executor import _Group, _Scope
+from .types import DataType, compare3, iso_date_or_none, like_to_regex
 
 from ..perf.cache import LRUCache
 from ..perf.profiler import profile_span
@@ -291,10 +289,6 @@ class ColumnStore:
         ]
         return ColumnStore(self.n_rows + len(tail), cols, self.column_names)
 
-    def supported_kinds(self) -> Dict[str, str]:
-        """Column name → storage kind (observability / tests)."""
-        return {name: col.kind for name, col in zip(self.column_names, self.cols)}
-
     def nbytes(self) -> int:
         """Total array bytes held (profiling surface)."""
         total = 0
@@ -466,23 +460,9 @@ class _CmpColCol(_Kernel):
         return _masked(truth, _nulls(store, (self.jl, self.jr), lo, hi))
 
 
-_like_to_regex = None
-
-
-def _like_rx(pattern: str) -> Any:
-    # Shared with the row path so both compile the identical regex (and
-    # share its memoization); imported lazily to keep module loading
-    # acyclic.
-    global _like_to_regex
-    if _like_to_regex is None:
-        from .executor import _like_to_regex as impl
-
-        _like_to_regex = impl
-    return _like_to_regex(pattern)
-
-
 class _LikePred(_Kernel):
-    """``text_col LIKE 'pattern'`` via the row path's precompiled regex.
+    """``text_col LIKE 'pattern'`` via the shared
+    :func:`~repro.sqldb.types.like_to_regex`.
 
     Evaluated over the original Python strings (regex semantics exactly
     match the per-row interpreter); this is the one kernel that loops in
@@ -496,7 +476,7 @@ class _LikePred(_Kernel):
         self.pattern = pattern
 
     def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
-        match = _like_rx(self.pattern).match
+        match = like_to_regex(self.pattern).match
         col = store.cols[self.j]
         truth = np.fromiter(
             (v is not None and match(v) is not None for v in col.pylist[lo:hi]),
@@ -660,26 +640,8 @@ class _WhereCompiler:
         if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
             return self._col_col(op, left, right)
         if isinstance(left, Literal) and isinstance(right, Literal):
-            return _Const(self._lit_lit(op, left.value, right.value))
+            return _Const(compare3(op, left.value, right.value))
         raise _Unsupported("comparison over computed expressions")
-
-    def _lit_lit(self, op: str, lv: Any, rv: Any) -> Optional[bool]:
-        # Mirrors Executor._eval_binary / _compare3 for two constants.
-        if lv is None or rv is None:
-            return None
-        if op == "=":
-            return values_equal(lv, rv)
-        if op == "!=":
-            return not values_equal(lv, rv)
-        cmp = values_compare(lv, rv)
-        if cmp is None:
-            return False
-        return {
-            "<": cmp < 0,
-            "<=": cmp <= 0,
-            ">": cmp > 0,
-            ">=": cmp >= 0,
-        }[op]
 
     def _col_lit(self, op: str, ref: ColumnRef, lit: Any) -> _Kernel:
         j = self._value_col(ref)
@@ -824,67 +786,107 @@ class _CompiledQuery:
         self.fast_order = fast_order
 
 
-class _GroupCtx:
-    """One group's row indices plus lazily built row-path scopes."""
+class _GroupCtx(_Group):
+    """One group of the vectorized path: its ascending row indices into
+    the store.  An aggregate over a local column runs on the arrays; any
+    other aggregate argument is evaluated over member scopes, built on
+    first use, and bare columns read a scope of the first member."""
 
-    __slots__ = ("engine", "compiled", "store", "schema", "rows_list", "gidx", "parent",
-                 "_idx_list", "_members", "_rep")
+    __slots__ = ("binding", "store", "schema", "rows_list", "gidx", "parent", "_rep")
 
     def __init__(
         self,
-        engine: "ColumnarEngine",
-        compiled: _CompiledQuery,
+        binding: str,
         store: ColumnStore,
         schema: Any,
         rows_list: List[tuple],
         gidx: Any,
-        parent: Any,
+        parent: Optional[_Scope],
     ):
-        self.engine = engine
-        self.compiled = compiled
+        super().__init__([])
+        self.size = int(gidx.size)
+        self.binding = binding
         self.store = store
         self.schema = schema
         self.rows_list = rows_list
         self.gidx = gidx
         self.parent = parent
-        self._idx_list = None
-        self._members = None
-        self._rep = None
+        self._rep: Optional[_Scope] = None
 
-    def idx_list(self) -> List[int]:
-        if self._idx_list is None:
-            self._idx_list = self.gidx.tolist()
-        return self._idx_list
+    def _scope(self, i: int) -> _Scope:
+        return _Scope([(self.binding, self.schema, self.rows_list[i])], self.parent)
 
-    def rep_scope(self) -> Any:
-        """The scope ``_eval_group`` evaluates bare columns on: the
-        group's first member row (or an empty scope for the empty
-        whole-table group)."""
+    def rep(self) -> _Scope:
         if self._rep is None:
-            scope_cls = self.engine._scope_cls
-            if self.gidx.size:
-                row = self.rows_list[int(self.gidx[0])]
-                self._rep = scope_cls(
-                    [(self.compiled.binding, self.schema, row)], self.parent
-                )
-            else:
-                self._rep = scope_cls([], self.parent)
+            self._rep = self._scope(int(self.gidx[0]))
         return self._rep
 
-    def members(self) -> List[Any]:
-        """Full per-member scopes, for aggregate arguments the fast
-        kernels cannot handle (built at most once per group)."""
-        if self._members is None:
-            scope_cls = self.engine._scope_cls
-            binding = self.compiled.binding
-            schema = self.schema
-            parent = self.parent
-            rows = self.rows_list
-            self._members = [
-                scope_cls([(binding, schema, rows[i])], parent)
-                for i in self.idx_list()
-            ]
-        return self._members
+    def aggregate(self, executor: Any, call: FuncCall, func: Callable[..., Any]) -> Any:
+        j = self._aggregate_col(call.args[0])
+        if j is not None:
+            result = self._fast_aggregate(call.name.lower(), call.distinct, j)
+            if result is not _NO_FAST:
+                return result
+            pylist = self.store.cols[j].pylist
+            return func([pylist[i] for i in self.gidx.tolist()], distinct=call.distinct)
+        if not self.members:
+            self.members = [self._scope(i) for i in self.gidx.tolist()]
+        return super().aggregate(executor, call, func)
+
+    def _aggregate_col(self, arg: Expr) -> Optional[int]:
+        """Column position when the aggregate argument is a locally
+        resolvable column reference, else ``None`` (scope-path eval)."""
+        if not isinstance(arg, ColumnRef):
+            return None
+        if arg.table is not None and arg.table.lower() != self.binding:
+            return None
+        if arg.column not in self.schema:
+            return None
+        return self.schema.column_index(arg.column)
+
+    def _fast_aggregate(self, name: str, distinct: bool, j: int) -> Any:
+        """Vectorized aggregate when provably exact, else ``_NO_FAST``.
+
+        Float SUM/AVG always take the list path: ``np.sum`` uses pairwise
+        summation whose rounding differs from the row path's sequential
+        ``sum()`` in the last bits.
+        """
+        col = self.store.cols[j]
+        gidx = self.gidx
+        if name == "count" and not distinct:
+            if gidx.size == 0:
+                return 0
+            return int(gidx.size) - int(np.count_nonzero(col.null[gidx]))
+        if distinct:
+            return _NO_FAST
+        if name in ("sum", "avg"):
+            if col.kind != "int" or not col.int_sum_safe:
+                return _NO_FAST
+            if gidx.size == 0:
+                return None
+            present = int(gidx.size) - int(np.count_nonzero(col.null[gidx]))
+            if present == 0:
+                return None
+            # NULL slots hold 0, so the slice sum equals the non-NULL sum;
+            # int_sum_safe bounds |subset sum| within int64.
+            total = int(col.values[gidx].sum())
+            if name == "sum":
+                return total
+            return total / present
+        if name in ("min", "max"):
+            if col.kind in ("int", "bool", "date", "text") or (
+                col.kind == "float" and not col.has_nan
+            ):
+                nn_idx = gidx[~col.null[gidx]] if gidx.size else gidx
+                if nn_idx.size == 0:
+                    return None
+                sub = col.values[nn_idx]
+                pos = int(np.argmin(sub) if name == "min" else np.argmax(sub))
+                # argmin/argmax return the first extreme position, same as
+                # Python's min/max; the original object is returned.
+                return col.pylist[int(nn_idx[pos])]
+            return _NO_FAST
+        return _NO_FAST
 
 
 class ColumnarEngine:
@@ -899,16 +901,7 @@ class ColumnarEngine:
     def __init__(self, executor: Any):
         if np is None:
             raise RuntimeError("numpy is required for the columnar engine")
-        # The executor module is fully initialized by the time an
-        # Executor instance exists, so this import cannot cycle.
-        from . import executor as rowpath
-
         self._ex = executor
-        self._scope_cls = rowpath._Scope
-        self._bool3 = rowpath._bool3
-        self._not3 = rowpath._not3
-        self._and3 = rowpath._and3
-        self._or3 = rowpath._or3
         #: why the last statement fell back (``None`` when it was claimed)
         self.last_fallback: Optional[str] = None
         self._cache = LRUCache(256)
@@ -941,18 +934,20 @@ class ColumnarEngine:
         stats.vectorized += 1
         rows_list = table.rows
         if compiled.grouped:
-            rows, order_rows = self._grouped(
-                stmt, compiled, store, table.schema, rows_list, idx, parent
-            )
+            with profile_span("columnar-group"):
+                groups = [
+                    _GroupCtx(compiled.binding, store, table.schema, rows_list, gidx, parent)
+                    for gidx in self._group_indices(compiled, store, idx)
+                ]
+            with profile_span("columnar-aggregate"):
+                rows, order_rows = ex._project_groups(stmt, groups)
         elif compiled.fast_items is not None:
             with profile_span("columnar-project"):
                 rows, order_rows = self._fast_gather(compiled, rows_list, idx)
         else:
             with profile_span("columnar-project"):
                 scopes = [
-                    self._scope_cls(
-                        [(compiled.binding, table.schema, rows_list[i])], parent
-                    )
+                    _Scope([(compiled.binding, table.schema, rows_list[i])], parent)
                     for i in idx.tolist()
                 ]
                 rows, order_rows = ex._project_rows(stmt, scopes)
@@ -1025,15 +1020,7 @@ class ColumnarEngine:
         pred = None
         if stmt.where is not None:
             pred = _WhereCompiler(store, schema, binding).compile(stmt.where)
-        grouped = bool(stmt.group_by) or ex._projects_aggregate(stmt)
-        if grouped and any(
-            isinstance(node, CaseExpr)
-            for root in _stmt_exprs(stmt)
-            for node in root.walk()
-        ):
-            # CASE arms may mix aggregates with per-group scalars; the
-            # row path's grouped evaluator handles that shape.
-            raise _Unsupported("CASE in a grouped query")
+        grouped = stmt.is_grouped()
         group_js = None
         fast_items = fast_order = None
         if grouped:
@@ -1153,50 +1140,6 @@ class ColumnarEngine:
 
     # -- grouped execution --------------------------------------------------
 
-    def _grouped(
-        self,
-        stmt: SelectStatement,
-        compiled: _CompiledQuery,
-        store: ColumnStore,
-        schema: Any,
-        rows_list: List[tuple],
-        idx: Any,
-        parent: Any,
-    ) -> Tuple[List[tuple], List[tuple]]:
-        ex = self._ex
-        with profile_span("columnar-group"):
-            group_arrays = self._group_indices(compiled, store, idx)
-            ctxs = [
-                _GroupCtx(self, compiled, store, schema, rows_list, gidx, parent)
-                for gidx in group_arrays
-            ]
-        with profile_span("columnar-aggregate"):
-            alias_map = ex._alias_exprs(stmt)
-            rows: List[tuple] = []
-            order_rows: List[tuple] = []
-            for group in ctxs:
-                if stmt.having is not None and not ex._truthy(
-                    self._group_eval(stmt.having, group)
-                ):
-                    continue
-                out: List[Any] = []
-                for item in stmt.select_items:
-                    if isinstance(item.expr, Star):
-                        raise GroupedStarError(
-                            "SELECT * is not valid in a grouped query"
-                        )
-                    out.append(self._group_eval(item.expr, group))
-                rows.append(tuple(out))
-                order_rows.append(
-                    tuple(
-                        self._group_eval(
-                            ex._substitute_alias(order.expr, alias_map), group
-                        )
-                        for order in stmt.order_by
-                    )
-                )
-        return rows, order_rows
-
     def _group_indices(
         self, compiled: _CompiledQuery, store: ColumnStore, idx: Any
     ) -> List[Any]:
@@ -1265,133 +1208,3 @@ class ColumnarEngine:
             entries.append((int(null_idx[0]), null_idx))
         entries.sort(key=lambda entry: entry[0])
         return [member_idx for _, member_idx in entries]
-
-    # -- grouped expression evaluation (mirrors Executor._eval_group) -------
-
-    def _group_eval(self, expr: Expr, group: _GroupCtx) -> Any:
-        ex = self._ex
-        if isinstance(expr, FuncCall) and expr.is_aggregate:
-            return self._group_aggregate(expr, group)
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, BinaryOp):
-            if expr.op in ("AND", "OR"):
-                left = self._bool3(self._group_eval(expr.left, group))
-                if expr.op == "AND" and left is False:
-                    return False
-                if expr.op == "OR" and left is True:
-                    return True
-                right = self._bool3(self._group_eval(expr.right, group))
-                if expr.op == "AND":
-                    return self._and3(left, right)
-                return self._or3(left, right)
-            left = self._group_eval(expr.left, group)
-            right = self._group_eval(expr.right, group)
-            return ex._eval_binary(
-                BinaryOp(expr.op, Literal(left), Literal(right)), group.rep_scope()
-            )
-        if isinstance(expr, UnaryOp):
-            inner = self._group_eval(expr.operand, group)
-            if expr.op.upper() == "NOT":
-                return self._not3(self._bool3(inner))
-            if inner is None:
-                return None
-            if isinstance(inner, bool) or not isinstance(inner, (int, float)):
-                raise ArithmeticTypeError(f"unary '-' needs a number, got {inner!r}")
-            return -inner
-        if isinstance(expr, FuncCall):
-            args = [self._group_eval(arg, group) for arg in expr.args]
-            return call_scalar(expr.name, args)
-        # Bare columns / other expressions: representative-row semantics,
-        # NULL for the empty whole-table group — as the row path.
-        if group.gidx.size == 0:
-            return None
-        return ex._eval(expr, group.rep_scope())
-
-    def _group_aggregate(self, call: FuncCall, group: _GroupCtx) -> Any:
-        func = AGGREGATE_FUNCTIONS.get(call.name.lower())
-        if func is None:  # pragma: no cover - guarded by is_aggregate
-            raise UnknownFunctionError(f"unknown aggregate {call.name!r}")
-        name = call.name.lower()
-        if name == "count" and len(call.args) == 1 and isinstance(call.args[0], Star):
-            # agg_count(..., star=True) is len(values); skip building the
-            # [None] * n list the row path allocates.
-            return int(group.gidx.size)
-        if not call.args:
-            raise AggregateArityError(f"{call.name.upper()} requires an argument")
-        if len(call.args) != 1:
-            raise AggregateArityError(f"{call.name.upper()} takes exactly one argument")
-        if isinstance(call.args[0], Star):
-            raise AggregateArityError(f"{call.name.upper()}(*) is not supported")
-        for node in call.args[0].walk():
-            if isinstance(node, FuncCall) and node.is_aggregate:
-                raise NestedAggregateError(
-                    f"aggregate {node.name.upper()} nested inside "
-                    f"{call.name.upper()}"
-                )
-        arg = call.args[0]
-        j = self._aggregate_col(arg, group)
-        if j is not None:
-            result = self._fast_aggregate(name, call.distinct, j, group)
-            if result is not _NO_FAST:
-                return result
-            col = group.store.cols[j]
-            values = [col.pylist[i] for i in group.idx_list()]
-        else:
-            values = [self._ex._eval(arg, scope) for scope in group.members()]
-        return func(values, distinct=call.distinct)
-
-    def _aggregate_col(self, arg: Expr, group: _GroupCtx) -> Optional[int]:
-        """Column position when the aggregate argument is a locally
-        resolvable column reference, else ``None`` (scope-path eval)."""
-        if not isinstance(arg, ColumnRef):
-            return None
-        if arg.table is not None and arg.table.lower() != group.compiled.binding:
-            return None
-        if arg.column not in group.schema:
-            return None
-        return group.schema.column_index(arg.column)
-
-    def _fast_aggregate(self, name: str, distinct: bool, j: int, group: _GroupCtx) -> Any:
-        """Vectorized aggregate when provably exact, else ``_NO_FAST``.
-
-        Float SUM/AVG always take the list path: ``np.sum`` uses pairwise
-        summation whose rounding differs from the row path's sequential
-        ``sum()`` in the last bits.
-        """
-        col = group.store.cols[j]
-        gidx = group.gidx
-        if name == "count" and not distinct:
-            if gidx.size == 0:
-                return 0
-            return int(gidx.size) - int(np.count_nonzero(col.null[gidx]))
-        if distinct:
-            return _NO_FAST
-        if name in ("sum", "avg"):
-            if col.kind != "int" or not col.int_sum_safe:
-                return _NO_FAST
-            if gidx.size == 0:
-                return None
-            present = int(gidx.size) - int(np.count_nonzero(col.null[gidx]))
-            if present == 0:
-                return None
-            # NULL slots hold 0, so the slice sum equals the non-NULL sum;
-            # int_sum_safe bounds |subset sum| within int64.
-            total = int(col.values[gidx].sum())
-            if name == "sum":
-                return total
-            return total / present
-        if name in ("min", "max"):
-            if col.kind in ("int", "bool", "date", "text") or (
-                col.kind == "float" and not col.has_nan
-            ):
-                nn_idx = gidx[~col.null[gidx]] if gidx.size else gidx
-                if nn_idx.size == 0:
-                    return None
-                sub = col.values[nn_idx]
-                pos = int(np.argmin(sub) if name == "min" else np.argmax(sub))
-                # argmin/argmax return the first extreme position, same as
-                # Python's min/max; the original object is returned.
-                return col.pylist[int(nn_idx[pos])]
-            return _NO_FAST
-        return _NO_FAST

@@ -198,15 +198,6 @@ class Database:
             path.append(fk)
         return path
 
-    def foreign_keys_between(self, table_a: str, table_b: str) -> List[ForeignKey]:
-        """Direct FK edges between two tables (either direction)."""
-        a, b = self.table(table_a).name, self.table(table_b).name
-        out = []
-        for fk in self.foreign_keys:
-            if {fk.src_table, fk.dst_table} == {a, b}:
-                out.append(fk if fk.src_table == a else fk.reversed())
-        return out
-
     # -- introspection ----------------------------------------------------------
 
     def find_column(self, column_name: str) -> List[Tuple[str, Column]]:

@@ -43,10 +43,8 @@ different order.
 
 from __future__ import annotations
 
-import functools
-import re
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .ast import (
     Between,
@@ -70,13 +68,10 @@ from .database import Database
 from .errors import (
     AggregateArityError,
     AmbiguousColumnError,
-    ArithmeticTypeError,
     CompoundOrderError,
-    DivisionByZeroError,
     ExecutionError,
     FunctionArityError,
     GroupedStarError,
-    LikeTypeError,
     MisplacedAggregateError,
     MisplacedWindowError,
     NestedAggregateError,
@@ -92,7 +87,18 @@ from .functions import AGGREGATE_FUNCTIONS, call_scalar
 from .planner import ExecutionStats, JoinPlan, Planner, QueryPlan, ScanPlan
 from .relation import Relation
 from .schema import TableSchema
-from .types import hash_key, sort_key, values_compare, values_equal
+from .types import (
+    and3,
+    binary_value,
+    bool3,
+    compare3,
+    hash_key,
+    negate,
+    not3,
+    or3,
+    sort_key,
+    values_equal,
+)
 
 from ..perf.cache import LRUCache
 
@@ -164,19 +170,29 @@ class _Missing:
 _MISSING = _Missing()
 
 
-@functools.lru_cache(maxsize=512)
-def _like_to_regex(pattern: str) -> "re.Pattern[str]":
-    # Memoized: LIKE re-evaluates per row, and benchmark workloads reuse a
-    # small set of patterns across thousands of rows.
-    out = []
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return re.compile("^" + "".join(out) + "$", re.IGNORECASE)
+class _Group:
+    """One group of the row path: its member scopes in input order.
+
+    The grouped evaluator reads a group only through ``size``, ``rep``
+    (the member bare columns are read from) and :meth:`aggregate`; the
+    columnar engine's group view overrides the last two to read its
+    column store."""
+
+    __slots__ = ("members", "size")
+
+    def __init__(self, members: List[_Scope]):
+        self.members = members
+        self.size = len(members)
+
+    def rep(self) -> _Scope:
+        return self.members[0]
+
+    def aggregate(
+        self, executor: "Executor", call: FuncCall, func: Callable[..., Any]
+    ) -> Any:
+        """``func`` over the call's argument evaluated on every member."""
+        values = [executor._eval(call.args[0], scope) for scope in self.members]
+        return func(values, distinct=call.distinct)
 
 
 class Executor:
@@ -200,6 +216,13 @@ class Executor:
     repeated statements pay the analyzer and the planner once, across
     writes.  Plans are never rewritten by static inference; its verdicts
     surface only as the analyzer's SQL5xx warnings.
+
+    Per-value rules (three-valued comparison, arithmetic, ``LIKE``, the
+    Kleene connectives) come from :mod:`repro.sqldb.types`.  Grouped
+    blocks run through one evaluator, :meth:`_project_groups`, over
+    group objects: a :class:`_Group` of member scopes here, or the
+    columnar engine's group view, whose aggregates over a local column
+    read the column store.
     """
 
     def __init__(
@@ -409,9 +432,8 @@ class Executor:
             if stmt.where is not None:
                 scopes = [s for s in scopes if self._truthy(self._eval(stmt.where, s))]
 
-        grouped = bool(stmt.group_by) or self._projects_aggregate(stmt)
-        if grouped:
-            rows, order_rows = self._project_grouped(stmt, scopes, parent)
+        if stmt.is_grouped():
+            rows, order_rows = self._project_groups(stmt, self._groups(stmt, scopes))
         else:
             rows, order_rows = self._project_rows(stmt, scopes)
 
@@ -710,17 +732,6 @@ class Executor:
             parts.append(hash_key(value))
         return tuple(parts)
 
-    def _projects_aggregate(self, stmt: SelectStatement) -> bool:
-        for item in stmt.select_items:
-            for node in item.expr.walk():
-                if isinstance(node, FuncCall) and node.is_aggregate:
-                    return True
-        if stmt.having is not None:
-            for node in stmt.having.walk():
-                if isinstance(node, FuncCall) and node.is_aggregate:
-                    return True
-        return False
-
     def _output_columns(self, stmt: SelectStatement, scopes: List[_Scope]) -> List[str]:
         columns: List[str] = []
         for item in stmt.select_items:
@@ -898,49 +909,40 @@ class Executor:
                 pos = end
         return values
 
-    def _project_grouped(
-        self, stmt: SelectStatement, scopes: List[_Scope], parent: Optional[_Scope]
-    ) -> Tuple[List[Tuple[Any, ...]], List[Tuple[Any, ...]]]:
+    def _groups(self, stmt: SelectStatement, scopes: List[_Scope]) -> List[_Group]:
+        """Partition rows by the GROUP BY key, groups in first-occurrence
+        order; without GROUP BY the whole input is one group, possibly
+        empty."""
+        if not stmt.group_by:
+            return [_Group(scopes)]
         groups: Dict[Tuple[Any, ...], List[_Scope]] = {}
-        order: List[Tuple[Any, ...]] = []
-        if stmt.group_by:
-            for scope in scopes:
-                key = tuple(
-                    _hashable(self._eval(expr, scope)) for expr in stmt.group_by
-                )
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(scope)
-        else:
-            # Aggregate over the whole input: exactly one group, possibly empty.
-            key = ()
-            groups[key] = list(scopes)
-            order.append(key)
+        for scope in scopes:
+            key = tuple(_hashable(self._eval(expr, scope)) for expr in stmt.group_by)
+            groups.setdefault(key, []).append(scope)
+        return [_Group(members) for members in groups.values()]
 
+    def _project_groups(
+        self, stmt: SelectStatement, groups: Sequence[_Group]
+    ) -> Tuple[List[Tuple[Any, ...]], List[Tuple[Any, ...]]]:
+        """HAVING, the select list and the ORDER BY keys of every group:
+        the one grouped evaluator, over row-path groups and columnar
+        group views alike."""
         alias_map = self._alias_exprs(stmt)
+        order_exprs = [self._substitute_alias(o.expr, alias_map) for o in stmt.order_by]
         rows: List[Tuple[Any, ...]] = []
         order_rows: List[Tuple[Any, ...]] = []
-        for key in order:
-            members = groups[key]
+        for group in groups:
             if stmt.having is not None and not self._truthy(
-                self._eval_group(stmt.having, members, parent)
+                self._eval_group(stmt.having, group)
             ):
                 continue
             out = []
             for item in stmt.select_items:
                 if isinstance(item.expr, Star):
                     raise GroupedStarError("SELECT * is not valid in a grouped query")
-                out.append(self._eval_group(item.expr, members, parent))
+                out.append(self._eval_group(item.expr, group))
             rows.append(tuple(out))
-            order_rows.append(
-                tuple(
-                    self._eval_group(
-                        self._substitute_alias(o.expr, alias_map), members, parent
-                    )
-                    for o in stmt.order_by
-                )
-            )
+            order_rows.append(tuple(self._eval_group(e, group) for e in order_exprs))
         return rows, order_rows
 
     def _alias_exprs(self, stmt: SelectStatement) -> Dict[str, Expr]:
@@ -975,13 +977,8 @@ class Executor:
             return self._eval_binary(expr, scope)
         if isinstance(expr, UnaryOp):
             if expr.op.upper() == "NOT":
-                return _not3(_bool3(self._eval(expr.operand, scope)))
-            value = self._eval(expr.operand, scope)
-            if value is None:
-                return None
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ArithmeticTypeError(f"unary '-' needs a number, got {value!r}")
-            return -value
+                return not3(bool3(self._eval(expr.operand, scope)))
+            return negate(self._eval(expr.operand, scope))
         if isinstance(expr, IsNull):
             is_null = self._eval(expr.operand, scope) is None
             return not is_null if expr.negated else is_null
@@ -992,11 +989,8 @@ class Executor:
             # Three-valued (value >= low) AND (value <= high): a NULL
             # operand makes a side unknown; incomparable non-NULL types
             # make it false, as with plain comparisons.
-            result = _and3(
-                self._compare3(value, low, lambda c: c >= 0),
-                self._compare3(value, high, lambda c: c <= 0),
-            )
-            return _not3(result) if expr.negated else result
+            result = and3(compare3(">=", value, low), compare3("<=", value, high))
+            return not3(result) if expr.negated else result
         if isinstance(expr, InList):
             value = self._eval(expr.operand, scope)
             hit = False
@@ -1016,7 +1010,7 @@ class Executor:
                 result = None
             else:
                 result = False
-            return _not3(result) if expr.negated else result
+            return not3(result) if expr.negated else result
         if isinstance(expr, FuncCall):
             if expr.is_aggregate:
                 raise MisplacedAggregateError(
@@ -1057,83 +1051,21 @@ class Executor:
             return self._eval_subquery(expr, scope)
         raise ExecutionError(f"cannot evaluate expression {expr!r}")  # pragma: no cover
 
-    def _compare3(self, left: Any, right: Any, test: Callable[[int], bool]) -> Any:
-        """Three-valued ordering comparison: unknown when either side is
-        NULL, false when the non-NULL sides are incomparable."""
-        if left is None or right is None:
-            return None
-        cmp = values_compare(left, right)
-        if cmp is None:
-            return False
-        return test(cmp)
-
     def _eval_binary(self, expr: BinaryOp, scope: _Scope) -> Any:
         op = expr.op
         if op == "AND":
             # Kleene conjunction, short-circuiting on a definite False so
             # error timing matches the pre-three-valued interpreter.
-            left = _bool3(self._eval(expr.left, scope))
+            left = bool3(self._eval(expr.left, scope))
             if left is False:
                 return False
-            right = _bool3(self._eval(expr.right, scope))
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
+            return and3(left, bool3(self._eval(expr.right, scope)))
         if op == "OR":
-            left = _bool3(self._eval(expr.left, scope))
+            left = bool3(self._eval(expr.left, scope))
             if left is True:
                 return True
-            right = _bool3(self._eval(expr.right, scope))
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
-        left = self._eval(expr.left, scope)
-        right = self._eval(expr.right, scope)
-        if op == "LIKE":
-            if left is None or right is None:
-                return None
-            if not isinstance(left, str) or not isinstance(right, str):
-                raise LikeTypeError("LIKE requires text operands")
-            return bool(_like_to_regex(right).match(left))
-        if op == "=":
-            if left is None or right is None:
-                return None
-            return values_equal(left, right)
-        if op == "!=":
-            if left is None or right is None:
-                return None
-            return not values_equal(left, right)
-        if op in ("<", "<=", ">", ">="):
-            return self._compare3(
-                left,
-                right,
-                {
-                    "<": lambda c: c < 0,
-                    "<=": lambda c: c <= 0,
-                    ">": lambda c: c > 0,
-                    ">=": lambda c: c >= 0,
-                }[op],
-            )
-        if op in ("+", "-", "*", "/"):
-            if left is None or right is None:
-                return None
-            for side in (left, right):
-                if isinstance(side, bool) or not isinstance(side, (int, float)):
-                    raise ArithmeticTypeError(f"arithmetic on non-number {side!r}")
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if right == 0:
-                raise DivisionByZeroError("division by zero")
-            return left / right
-        raise ExecutionError(f"unknown operator {op!r}")  # pragma: no cover
+            return or3(left, bool3(self._eval(expr.right, scope)))
+        return binary_value(op, self._eval(expr.left, scope), self._eval(expr.right, scope))
 
     def _eval_subquery(self, expr: SubqueryExpr, scope: _Scope) -> Any:
         self._stats.subqueries += 1
@@ -1155,9 +1087,7 @@ class Executor:
             value = result.rows[0][0] if result.rows else None
             if expr.operand is None or expr.op is None:
                 return value
-            outer = self._eval(expr.operand, scope)
-            comparison = BinaryOp(expr.op, Literal(outer), Literal(value))
-            return self._eval_binary(comparison, scope)
+            return binary_value(expr.op, self._eval(expr.operand, scope), value)
         if expr.kind in ("in", "not_in"):
             if len(result.columns) != 1:
                 raise SubqueryColumnsError("IN subquery must return one column")
@@ -1172,7 +1102,7 @@ class Executor:
                 verdict = None
             else:
                 verdict = False
-            return _not3(verdict) if expr.kind == "not_in" else verdict
+            return not3(verdict) if expr.kind == "not_in" else verdict
         if expr.kind in ("exists", "not_exists"):
             has_rows = bool(result.rows)
             return not has_rows if expr.kind == "not_exists" else has_rows
@@ -1180,60 +1110,47 @@ class Executor:
 
     # -- grouped evaluation -------------------------------------------------------
 
-    def _eval_group(
-        self, expr: Expr, members: List[_Scope], parent: Optional[_Scope]
-    ) -> Any:
+    def _eval_group(self, expr: Expr, group: _Group) -> Any:
         if isinstance(expr, FuncCall) and expr.is_aggregate:
-            return self._eval_aggregate(expr, members)
+            return self._eval_aggregate(expr, group)
         if isinstance(expr, Literal):
             return expr.value
         if isinstance(expr, BinaryOp):
             if expr.op in ("AND", "OR"):
                 # Kleene connectives, same as the per-row path.
-                left = _bool3(self._eval_group(expr.left, members, parent))
+                left = bool3(self._eval_group(expr.left, group))
                 if expr.op == "AND" and left is False:
                     return False
                 if expr.op == "OR" and left is True:
                     return True
-                right = _bool3(self._eval_group(expr.right, members, parent))
+                right = bool3(self._eval_group(expr.right, group))
                 if expr.op == "AND":
-                    return _and3(left, right)
-                return _or3(left, right)
-            left = self._eval_group(expr.left, members, parent)
-            right = self._eval_group(expr.right, members, parent)
-            return self._eval_binary(
-                BinaryOp(expr.op, Literal(left), Literal(right)),
-                members[0] if members else _Scope([], parent),
+                    return and3(left, right)
+                return or3(left, right)
+            return binary_value(
+                expr.op, self._eval_group(expr.left, group), self._eval_group(expr.right, group)
             )
         if isinstance(expr, UnaryOp):
-            inner = self._eval_group(expr.operand, members, parent)
+            inner = self._eval_group(expr.operand, group)
             if expr.op.upper() == "NOT":
-                return _not3(_bool3(inner))
-            if inner is None:
-                return None
-            if isinstance(inner, bool) or not isinstance(inner, (int, float)):
-                # Same check as the per-row path; previously this fell
-                # through to Python's TypeError on non-numeric values.
-                raise ArithmeticTypeError(f"unary '-' needs a number, got {inner!r}")
-            return -inner
+                return not3(bool3(inner))
+            return negate(inner)
         if isinstance(expr, FuncCall):
-            args = [self._eval_group(a, members, parent) for a in expr.args]
+            args = [self._eval_group(a, group) for a in expr.args]
             return call_scalar(expr.name, args)
         if isinstance(expr, CaseExpr):
             # Mirrors the per-row CASE, with aggregate-capable sub-eval.
             if expr.operand is not None:
-                operand = self._eval_group(expr.operand, members, parent)
+                operand = self._eval_group(expr.operand, group)
                 for when, result in expr.whens:
-                    if values_equal(
-                        operand, self._eval_group(when, members, parent)
-                    ):
-                        return self._eval_group(result, members, parent)
+                    if values_equal(operand, self._eval_group(when, group)):
+                        return self._eval_group(result, group)
             else:
                 for when, result in expr.whens:
-                    if self._truthy(self._eval_group(when, members, parent)):
-                        return self._eval_group(result, members, parent)
+                    if self._truthy(self._eval_group(when, group)):
+                        return self._eval_group(result, group)
             if expr.default is not None:
-                return self._eval_group(expr.default, members, parent)
+                return self._eval_group(expr.default, group)
             return None
         if isinstance(expr, WindowFunction):
             raise MisplacedWindowError(
@@ -1244,16 +1161,16 @@ class Executor:
         # of the group (valid for GROUP BY keys; pragmatic otherwise, as in
         # SQLite).  The empty whole-table group (aggregate over zero rows)
         # yields NULL for bare columns, as MySQL does.
-        if not members:
+        if not group.size:
             return None
-        return self._eval(expr, members[0])
+        return self._eval(expr, group.rep())
 
-    def _eval_aggregate(self, call: FuncCall, members: List[_Scope]) -> Any:
+    def _eval_aggregate(self, call: FuncCall, group: _Group) -> Any:
         func = AGGREGATE_FUNCTIONS.get(call.name.lower())
         if func is None:  # pragma: no cover - guarded by is_aggregate
             raise UnknownFunctionError(f"unknown aggregate {call.name!r}")
         if call.name.lower() == "count" and len(call.args) == 1 and isinstance(call.args[0], Star):
-            return func([None] * len(members), star=True)
+            return group.size  # COUNT(*) counts rows, NULLs included
         if not call.args:
             raise AggregateArityError(f"{call.name.upper()} requires an argument")
         if len(call.args) != 1:
@@ -1266,41 +1183,7 @@ class Executor:
                     f"aggregate {node.name.upper()} nested inside "
                     f"{call.name.upper()}"
                 )
-        values = [self._eval(call.args[0], scope) for scope in members]
-        return func(values, distinct=call.distinct)
-
-
-def _bool3(value: Any) -> Optional[bool]:
-    """Coerce a SQL value to three-valued boolean: NULL stays unknown
-    (``None``), anything else falls back to Python truthiness."""
-    if value is None:
-        return None
-    return bool(value)
-
-
-def _not3(value: Optional[bool]) -> Optional[bool]:
-    """Kleene NOT: unknown stays unknown."""
-    if value is None:
-        return None
-    return not value
-
-
-def _and3(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
-    """Kleene AND: false dominates, then unknown."""
-    if left is False or right is False:
-        return False
-    if left is None or right is None:
-        return None
-    return True
-
-
-def _or3(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
-    """Kleene OR: true dominates, then unknown."""
-    if left is True or right is True:
-        return True
-    if left is None or right is None:
-        return None
-    return False
+        return group.aggregate(self, call, func)
 
 
 class _DirectionKey:

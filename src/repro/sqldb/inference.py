@@ -50,8 +50,17 @@ from .ast import (
     SqlNode,
     UnaryOp,
 )
+from .errors import SqlError
 from .schema import Column, TableSchema
-from .types import DataType, format_value, iso_date_or_none, values_compare
+from .types import (
+    DataType,
+    arith,
+    compare3,
+    format_value,
+    iso_date_or_none,
+    negate,
+    values_compare,
+)
 
 #: Nullability lattice points.
 NEVER, MAYBE, ALWAYS = "never", "maybe", "always"
@@ -342,28 +351,12 @@ def _arith_fact(op: str, lf: Fact, rf: Fact) -> Fact:
 
 
 def _fold_arith_values(op: str, left: Any, right: Any) -> Any:
-    """Apply one arithmetic op exactly as the executor would, or
+    """Apply one arithmetic op exactly as the executor does, or
     :data:`NO_CONST` when the executor would raise."""
-    if left is None or right is None:
-        return None
-    if isinstance(left, bool) or isinstance(right, bool):
-        return NO_CONST
-    if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
-        return NO_CONST
     try:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                return NO_CONST
-            return left / right
-    except OverflowError:
+        return arith(op, left, right)
+    except (SqlError, OverflowError):
         return NO_CONST
-    return NO_CONST
 
 
 def fact(expr: Expr, resolver: Resolver) -> Fact:
@@ -386,10 +379,10 @@ def fact(expr: Expr, resolver: Resolver) -> Fact:
         pure = f.pure and (f.family == NUMBER or f.nullability == ALWAYS)
         const: Any = NO_CONST
         if pure and f.known:
-            if f.const is None:
-                const = None
-            elif isinstance(f.const, (int, float)) and not isinstance(f.const, bool):
-                const = -f.const
+            try:
+                const = negate(f.const)
+            except SqlError:
+                pass
         return Fact(family=NUMBER, nullability=f.nullability, const=const, pure=pure)
     if isinstance(expr, BinaryOp):
         if expr.op in ("+", "-", "*", "/"):
@@ -529,27 +522,6 @@ def _value_truth(f: Fact) -> Truth:
     return Truth(True, True, can_unknown, pure=f.pure)
 
 
-def _compare_consts(op: str, left: Any, right: Any) -> bool:
-    """Definite comparison of two non-NULL constants, mirroring
-    ``values_equal``/``values_compare`` (incomparable → false)."""
-    from .types import values_equal
-
-    if op == "=":
-        return values_equal(left, right)
-    if op == "!=":
-        return not values_equal(left, right)
-    c = values_compare(left, right)
-    if c is None:
-        return False
-    if op == "<":
-        return c < 0
-    if op == "<=":
-        return c <= 0
-    if op == ">":
-        return c > 0
-    return c >= 0
-
-
 def _column_const_pair(
     expr: BinaryOp, resolver: Resolver
 ) -> Optional[Tuple[Resolved, ColumnRef, Any, str]]:
@@ -580,7 +552,8 @@ def _compare_truth(expr: BinaryOp, resolver: Resolver) -> Truth:
         )
 
     if pure and lf.known and rf.known:
-        result = _compare_consts(op, lf.const, rf.const)
+        # neither constant is NULL here, so the verdict is definite
+        result = bool(compare3(op, lf.const, rf.const))
         return Truth(
             result, not result, False, pure=True,
             reason=f"constant comparison is {'true' if result else 'false'}",

@@ -5,27 +5,42 @@ The engine supports five scalar types — ``INTEGER``, ``FLOAT``, ``TEXT``,
 ``None``.  Dates are :class:`datetime.date` instances; literals in SQL
 text use the ISO ``'YYYY-MM-DD'`` form.
 
-NULL semantics: the executor implements SQL three-valued logic — a
+NULL semantics: the engine implements SQL three-valued logic — a
 comparison, ``LIKE``, ``BETWEEN`` or ``IN`` involving NULL evaluates to
 *unknown* (``None``), ``NOT`` propagates unknown, ``AND``/``OR`` are
 Kleene connectives, and WHERE/HAVING keep only rows whose predicate is
 definitely true.  ``IS NULL`` / ``IS NOT NULL`` test for NULL
 explicitly, and aggregates skip NULLs (``COUNT(*)`` counts rows
-regardless).  The helpers below are two-valued *primitives*:
-:func:`values_equal` answers "definitely equal?" (NULL is never
-definitely equal to anything) and :func:`values_compare` returns
-``None`` for NULL or incomparable operands — the executor layers
-unknown-propagation on top of them.
+regardless).  :func:`values_equal` answers "definitely equal?" (NULL is
+never definitely equal to anything) and :func:`values_compare` returns
+``None`` for NULL or incomparable operands.
+
+This module is the single definition of every per-value SQL rule the
+engine applies: the Kleene helpers (:func:`bool3`, :func:`not3`,
+:func:`and3`, :func:`or3`), three-valued comparison (:func:`compare3`),
+arithmetic (:func:`arith`, :func:`negate`), ``LIKE``'s pattern
+(:func:`like_to_regex`) and :func:`binary_value`, which dispatches a
+binary operator to them.  The row executor, the columnar engine's
+constant folding and the static inference pass all call these, so the
+three stay byte-identical by construction.
 """
 
 from __future__ import annotations
 
 import datetime
 import enum
+import functools
 import math
-from typing import Any, Optional
+import re
+from typing import Any, Callable, Dict, Optional
 
-from .errors import TypeMismatchError
+from .errors import (
+    ArithmeticTypeError,
+    DivisionByZeroError,
+    ExecutionError,
+    LikeTypeError,
+    TypeMismatchError,
+)
 
 
 class DataType(enum.Enum):
@@ -140,8 +155,6 @@ def iso_date_or_none(text: Any) -> Optional[datetime.date]:
     :func:`values_equal` / :func:`values_compare`; the columnar kernels
     call it once per literal at compile time instead of once per row.
     """
-    import re
-
     global _DATE_LITERAL_RE
     if _DATE_LITERAL_RE is None:
         _DATE_LITERAL_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
@@ -210,6 +223,133 @@ def values_compare(left: Any, right: Any) -> Optional[int]:
     return None
 
 
+def bool3(value: Any) -> Optional[bool]:
+    """Coerce a SQL value to three-valued boolean: NULL stays unknown
+    (``None``), anything else falls back to Python truthiness."""
+    if value is None:
+        return None
+    return bool(value)
+
+
+def not3(value: Optional[bool]) -> Optional[bool]:
+    """Kleene NOT: unknown stays unknown."""
+    if value is None:
+        return None
+    return not value
+
+
+def and3(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
+    """Kleene AND: false dominates, then unknown."""
+    if left is False or right is False:
+        return False
+    if left is None or right is None:
+        return None
+    return True
+
+
+def or3(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
+    """Kleene OR: true dominates, then unknown."""
+    if left is True or right is True:
+        return True
+    if left is None or right is None:
+        return None
+    return False
+
+
+_ORDER_TESTS: Dict[str, Callable[[int], bool]] = {
+    "<": lambda c: c < 0,
+    "<=": lambda c: c <= 0,
+    ">": lambda c: c > 0,
+    ">=": lambda c: c >= 0,
+}
+
+
+def compare3(op: str, left: Any, right: Any) -> Optional[bool]:
+    """Three-valued ``left OP right`` for ``=``, ``!=``, ``<``, ``<=``,
+    ``>`` and ``>=``: unknown when either side is NULL, false when the
+    non-NULL sides are incomparable."""
+    if left is None or right is None:
+        return None
+    if op == "=":
+        return values_equal(left, right)
+    if op == "!=":
+        return not values_equal(left, right)
+    cmp = values_compare(left, right)
+    if cmp is None:
+        return False
+    return _ORDER_TESTS[op](cmp)
+
+
+def arith(op: str, left: Any, right: Any) -> Any:
+    """``left OP right`` for ``+``, ``-``, ``*`` and ``/``.  NULL on
+    either side yields NULL before any check; a non-number operand raises
+    :class:`ArithmeticTypeError` and a zero divisor
+    :class:`DivisionByZeroError`.  Python's own ``OverflowError``
+    (an integer too large for a float) propagates."""
+    if left is None or right is None:
+        return None
+    for side in (left, right):
+        if isinstance(side, bool) or not isinstance(side, (int, float)):
+            raise ArithmeticTypeError(f"arithmetic on non-number {side!r}")
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op != "/":
+        raise ExecutionError(f"unknown operator {op!r}")
+    if right == 0:
+        raise DivisionByZeroError("division by zero")
+    return left / right
+
+
+def negate(value: Any) -> Any:
+    """Unary minus: NULL stays NULL, a non-number raises
+    :class:`ArithmeticTypeError`."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ArithmeticTypeError(f"unary '-' needs a number, got {value!r}")
+    return -value
+
+
+@functools.lru_cache(maxsize=512)
+def like_to_regex(pattern: str) -> "re.Pattern[str]":
+    """The compiled regex of a ``LIKE`` pattern (case-insensitive, as in
+    SQLite).  Memoized: LIKE re-evaluates per row, and workloads reuse a
+    small set of patterns across thousands of rows."""
+    out = []
+    for ch in pattern:
+        if ch == "%":
+            out.append(".*")
+        elif ch == "_":
+            out.append(".")
+        else:
+            out.append(re.escape(ch))
+    return re.compile("^" + "".join(out) + "$", re.IGNORECASE)
+
+
+_ARITH_OPS = ("+", "-", "*", "/")
+
+
+def binary_value(op: str, left: Any, right: Any) -> Any:
+    """The value of ``left OP right`` for every binary operator but the
+    short-circuiting ``AND``/``OR``: comparisons, arithmetic and
+    ``LIKE``.  An unknown operator raises :class:`ExecutionError`."""
+    if op == "=" or op == "!=" or op in _ORDER_TESTS:
+        return compare3(op, left, right)
+    if op in _ARITH_OPS:
+        return arith(op, left, right)
+    if op == "LIKE":
+        if left is None or right is None:
+            return None
+        if not isinstance(left, str) or not isinstance(right, str):
+            raise LikeTypeError("LIKE requires text operands")
+        return bool(like_to_regex(right).match(left))
+    raise ExecutionError(f"unknown operator {op!r}")
+
+
 _ISO_DATE_KEY_RE = None
 
 
@@ -230,8 +370,6 @@ def hash_key(value: Any) -> Any:
 
     ``None`` must be handled by the caller (NULL matches nothing).
     """
-    import re
-
     global _ISO_DATE_KEY_RE
     if _ISO_DATE_KEY_RE is None:
         _ISO_DATE_KEY_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")

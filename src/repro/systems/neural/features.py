@@ -146,13 +146,6 @@ class Featurizer:
         weights = weights / weights.sum()
         return np.sum([w * e for w, e in zip(weights, tok_embs)], axis=0)
 
-    def select_matrix(self, tokens: Sequence[Token], schema: TableSchema) -> np.ndarray:
-        """Stacked column features for the select pointer (one row per
-        column, in schema order)."""
-        return np.stack(
-            [self.column_features(tokens, column, schema) for column in schema]
-        )
-
     # -- condition candidates ------------------------------------------------------
 
     def _value_map(self, table: Table) -> Dict[str, Set[str]]:

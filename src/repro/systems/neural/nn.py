@@ -10,7 +10,7 @@ preserving the *learning dynamics* the survey's claims are about
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -150,13 +150,3 @@ class BinaryScorer(MLPClassifier):
     def score(self, x: np.ndarray) -> np.ndarray:
         """P(positive) per row."""
         return self.predict_proba(x)[:, 1]
-
-
-def pad_features(rows: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Stack feature rows, zero-padding/truncating each to ``dim``."""
-    out = np.zeros((len(rows), dim))
-    for i, row in enumerate(rows):
-        row = np.asarray(row, dtype=float).ravel()
-        n = min(dim, row.shape[0])
-        out[i, :n] = row[:n]
-    return out

@@ -279,12 +279,20 @@ def test_property_columnar_matches_naive(where, agg):
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(where=_where(), key=st.sampled_from(["a", "s", "d"]))
-def test_property_columnar_grouped_matches_naive(where, key):
+@given(
+    where=_where(),
+    key=st.sampled_from(["a", "s", "d"]),
+    items=st.sampled_from([
+        "COUNT(*), SUM(a)",
+        "CASE WHEN COUNT(*) > 3 THEN 'many' ELSE 'few' END, MIN(f)",
+    ]),
+    having=st.sampled_from(["", " HAVING MAX(f) > 0 OR MIN(a) < 0"]),
+)
+def test_property_columnar_grouped_matches_naive(where, key, items, having):
     db = _prop_db()
     sql = (
-        f"SELECT {key}, COUNT(*), SUM(a) FROM v WHERE {where} "
-        f"GROUP BY {key} ORDER BY {key}"
+        f"SELECT {key}, {items} FROM v WHERE {where} "
+        f"GROUP BY {key}{having} ORDER BY {key}"
     )
     assert_three_paths_agree(db, sql)
 

@@ -386,12 +386,15 @@ class TestColumnarFallback:
         text = ex.explain(parse_select("SELECT a, ROW_NUMBER() OVER (ORDER BY a) FROM t"))
         assert "columnar: row path (window function)" in text
 
-    def test_grouped_case_reason_named(self, engines):
+    def test_grouped_case_vectorizes(self, engines):
         db, _ = engines
         ex = Executor(db, use_columnar=True)
         sql = "SELECT CASE WHEN a > 1 THEN SUM(b) ELSE 0 END FROM t GROUP BY a"
-        text = ex.explain(parse_select(sql))
-        assert "columnar: row path (CASE in a grouped query)" in text
+        stmt = parse_select(sql)
+        assert "columnar: vectorized scan+group" in ex.explain(stmt)
+        rows = ex.execute(stmt).rows
+        assert ex.last_stats.vectorized == 1
+        assert rows == Executor(db, use_columnar=False).execute(stmt).rows
 
     def test_compound_branches_still_vectorize(self, engines):
         db, _ = engines

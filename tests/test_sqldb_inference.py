@@ -6,14 +6,17 @@ predicate verdicts) and for the engine paths around it:
    issues.
 2. **Analyzer** — SQL501/502/503 warnings with source spans.
 3. **Columnar** — the ``(true, unknown)`` mask connectives against the
-   row path's Kleene helpers, and the two-valued representation of
-   NULL-free predicates (``unknown is None``).
+   Kleene helpers of :mod:`repro.sqldb.types` (the one definition the
+   row path and the inference pass also use), and the two-valued
+   representation of NULL-free predicates (``unknown is None``).
 
 Plans are never rewritten from inference verdicts.  The differential
-section runs every corpus through planned-row and columnar execution
-against the naive interpreter, and checks the shapes a plan rewriter
-would target (tautologies, implied and contradictory ranges, literal
-arithmetic, ``IS NOT NULL`` on a NOT NULL column) against sqlite3.
+section runs the NULL corpus and generated predicates through
+planned-row and columnar execution against the naive interpreter (the
+planner corpora run in ``tests/test_sqldb_columnar.py``), and checks the
+shapes a plan rewriter would target (tautologies, implied and
+contradictory ranges, literal arithmetic, ``IS NOT NULL`` on a NOT NULL
+column) against sqlite3.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from repro.sqldb import (
     parse_select,
 )
 from repro.bench.workload_gen import build_telemetry_db, telemetry_schema
-from repro.sqldb import columnar
-from repro.sqldb import executor as rowpath
+from repro.sqldb import columnar, types
 from repro.sqldb.executor import Executor
 from repro.sqldb.inference import (
     ALWAYS,
@@ -54,12 +56,7 @@ from repro.sqldb.ast import split_conjuncts
 from tests.test_sqldb_columnar import _prop_db, _where, assert_three_paths_agree
 from tests.test_sqldb_null_semantics import CORPUS as NULL_CORPUS
 from tests.test_sqldb_null_semantics import ROWS as NULL_ROWS
-from tests.test_sqldb_planner import (
-    EMP_CORPUS,
-    ERROR_CORPUS,
-    SHOP_CORPUS,
-    _strict_rows,
-)
+from tests.test_sqldb_planner import _strict_rows
 
 # ---------------------------------------------------------------------------
 # Fixtures
@@ -298,8 +295,8 @@ class TestMaskConnectives:
     VALUES = (True, False, None)
 
     @pytest.mark.parametrize("kernel, oracle", [
-        (columnar._AndPred, rowpath._and3),
-        (columnar._OrPred, rowpath._or3),
+        (columnar._AndPred, types.and3),
+        (columnar._OrPred, types.or3),
     ])
     def test_binary_truth_table(self, kernel, oracle):
         for lv, rv in itertools.product(self.VALUES, repeat=2):
@@ -313,7 +310,7 @@ class TestMaskConnectives:
         for value in self.VALUES:
             for mask in _encodings(value):
                 got = columnar._NotPred(_Leaf(mask)).eval(None, 0, 1)
-                assert _decode(got) == rowpath._not3(value), (value, mask)
+                assert _decode(got) == types.not3(value), (value, mask)
                 assert (got[1] is None) == (mask[1] is None)
 
 
@@ -453,18 +450,6 @@ REWRITE_SHAPES = [
 
 
 class TestDifferentialInference:
-    @pytest.mark.parametrize("sql", EMP_CORPUS)
-    def test_emp_corpus(self, emp_db, sql):
-        assert_three_paths_agree(emp_db, sql)
-
-    @pytest.mark.parametrize("sql", SHOP_CORPUS)
-    def test_shop_corpus(self, shop_db, sql):
-        assert_three_paths_agree(shop_db, sql)
-
-    @pytest.mark.parametrize("sql", ERROR_CORPUS)
-    def test_error_corpus(self, emp_db, sql):
-        assert_three_paths_agree(emp_db, sql)
-
     @pytest.mark.parametrize("sql", NULL_CORPUS)
     def test_null_corpus(self, sql):
         db = Database("nulls-inference")

@@ -25,7 +25,8 @@ from repro.sqldb import (
     execute_sql,
     parse_select,
 )
-from repro.sqldb.executor import _hashable, _like_to_regex
+from repro.sqldb.executor import _hashable
+from repro.sqldb.types import like_to_regex
 
 # ---------------------------------------------------------------------------
 # Differential suite: the planner path must return relations identical to
@@ -316,7 +317,7 @@ class TestStatementCache:
 
 class TestLikeCache:
     def test_same_pattern_same_object(self):
-        assert _like_to_regex("abc%") is _like_to_regex("abc%")
+        assert like_to_regex("abc%") is like_to_regex("abc%")
 
     def test_semantics_unchanged(self, emp_db):
         assert execute_sql(
