@@ -22,7 +22,6 @@ from .profiler import (
     STAGE_ORDER,
     StageProfiler,
     StageStat,
-    active_profiler,
     profile_span,
     profile_stage,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "STAGE_ORDER",
     "StageProfiler",
     "StageStat",
-    "active_profiler",
     "profile_span",
     "profile_stage",
 ]

@@ -201,8 +201,3 @@ def profile_span(name: str):
     if profiler is None:
         return _NOOP
     return profiler.span(name)
-
-
-def active_profiler() -> Optional[StageProfiler]:
-    """The profiler bound to the current context, if any."""
-    return _ACTIVE.get()

@@ -31,16 +31,19 @@ stable ``code`` shared 1:1 with an exception class in
 
 Severity encodes the **differential contract** with the executor:
 
-- ``error`` — the executor would raise the mapped exception class if it
-  evaluated the offending expression on a representative row.  The
+- ``error`` — the executor would raise the mapped exception class when
+  it evaluated the offending expression over a row, or over a group of
+  a grouped block (the select list, HAVING and ORDER BY of a grouped
+  block evaluate over groups, where aggregates are legal).  The
   executor's pre-flight turns the first such diagnostic back into that
   exception, so rejected statements fail with exactly the error the
   interpreter would have produced, only earlier and with a source span.
 - ``warning`` — the executor tolerates the construct (a comparison that
-  is always false, a bare non-grouped column evaluated SQLite-style on a
-  representative row, a silently ignored ``HAVING``), but the statement
-  almost certainly does not mean what it says.  Candidate rankers use
-  warnings as soft penalties.
+  is always false, a bare non-grouped column read SQLite-style from the
+  group's first row — NULL in the empty whole-table group of an empty
+  input — a silently ignored ``HAVING``), but the statement almost
+  certainly does not mean what it says.  Candidate rankers use warnings
+  as soft penalties.
 
 The mirror is deliberately exact: every check documents the executor
 behaviour it models, and ``tests/test_sqldb_analyzer.py`` enforces the
@@ -57,7 +60,7 @@ propagation makes ``NOT IN`` unsatisfiable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .ast import (
     Between,
@@ -208,25 +211,15 @@ class _Ctx:
     """Where in the statement an expression sits, for aggregate rules."""
 
     clause: str
-    allow_aggregates: bool = False
-    in_aggregate: bool = False
+    #: the expression evaluates over a group (a grouped block's select
+    #: list, HAVING or ORDER BY): aggregates are legal, and a bare column
+    #: outside ``group_keys`` reads the group's representative row
     group: bool = False
+    in_aggregate: bool = False
     group_keys: Tuple[Expr, ...] = ()
     #: window calls are legal only in the select list / ORDER BY of an
     #: ungrouped block — everywhere else the executor raises SQL312
     allow_windows: bool = False
-
-    def row(self, **overrides: Any) -> "_Ctx":
-        """A per-row variant of this context (used under group frontiers)."""
-        merged = dict(
-            clause=self.clause,
-            allow_aggregates=False,
-            in_aggregate=self.in_aggregate,
-            group=False,
-            group_keys=(),
-        )
-        merged.update(overrides)
-        return _Ctx(**merged)
 
 
 class SemanticAnalyzer:
@@ -395,17 +388,14 @@ class SemanticAnalyzer:
         for key in stmt.group_by:
             self._infer(key, scope, _Ctx(clause="GROUP BY"))
 
-        group_ctx = _Ctx(
-            clause="select list",
-            allow_aggregates=True,
-            group=True,
-            group_keys=tuple(stmt.group_by),
-        )
-
+        keys = tuple(stmt.group_by)
         width: Optional[int] = 0
         first_family: Optional[str] = None
         families: List[Optional[str]] = []
         families_known = True
+        select_ctx = _Ctx(
+            clause="select list", group=grouped, group_keys=keys, allow_windows=not grouped
+        )
         for idx, item in enumerate(stmt.select_items):
             if isinstance(item.expr, Star):
                 if grouped:
@@ -420,31 +410,14 @@ class SemanticAnalyzer:
             else:
                 if width is not None:
                     width += 1
-                if grouped:
-                    family = self._infer_group(item.expr, scope, group_ctx)
-                else:
-                    family = self._infer(
-                        item.expr,
-                        scope,
-                        _Ctx(
-                            clause="select list",
-                            allow_aggregates=True,
-                            allow_windows=True,
-                        ),
-                    )
+                family = self._infer(item.expr, scope, select_ctx)
                 families.append(family)
                 if idx == 0:
                     first_family = family
 
         if stmt.having is not None:
             if grouped:
-                having_ctx = _Ctx(
-                    clause="HAVING",
-                    allow_aggregates=True,
-                    group=True,
-                    group_keys=tuple(stmt.group_by),
-                )
-                self._infer_group(stmt.having, scope, having_ctx)
+                self._infer(stmt.having, scope, _Ctx(clause="HAVING", group=True, group_keys=keys))
             else:
                 # The executor evaluates HAVING only for grouped queries;
                 # on an ungrouped, unaggregated one the clause is silently
@@ -460,20 +433,14 @@ class SemanticAnalyzer:
         for item in stmt.select_items:
             if item.alias:
                 alias_map[item.alias.lower()] = item.expr
+        order_ctx = _Ctx(
+            clause="ORDER BY", group=grouped, group_keys=keys, allow_windows=not grouped
+        )
         for order in stmt.order_by:
             expr = order.expr
             if isinstance(expr, ColumnRef) and expr.table is None:
                 expr = alias_map.get(expr.column.lower(), expr)
-            if grouped:
-                order_ctx = _Ctx(
-                    clause="ORDER BY",
-                    allow_aggregates=True,
-                    group=True,
-                    group_keys=tuple(stmt.group_by),
-                )
-                self._infer_group(expr, scope, order_ctx)
-            else:
-                self._infer(expr, scope, _Ctx(clause="ORDER BY", allow_windows=True))
+            self._infer(expr, scope, order_ctx)
 
         if len(stmt.select_items) != 1 or isinstance(stmt.select_items[0].expr, Star):
             first_family = None
@@ -570,15 +537,29 @@ class SemanticAnalyzer:
         self._emit("SQL211", ERROR, f"cannot resolve column {ref.to_sql()!r}", ref)
         return None
 
-    # -- per-row expression inference ---------------------------------------
+    # -- expression inference -----------------------------------------------
 
     def _infer(self, expr: Expr, scope: _Scope, ctx: _Ctx) -> Optional[str]:
-        """Infer the type family of a per-row expression, emitting
-        diagnostics along the way; ``None`` means unknown (no claims)."""
+        """Infer the type family of an expression over a row or, under a
+        group context, over a group, emitting diagnostics along the way;
+        ``None`` means unknown (no claims)."""
+        if ctx.group and expr in ctx.group_keys:
+            # A grouping key: constant within the group, fully legal.
+            # Re-infer quietly for its family (duplicates are deduped).
+            return self._infer(expr, scope, _Ctx(clause=ctx.clause))
         if isinstance(expr, Literal):
             return value_family(expr.value)
         if isinstance(expr, ColumnRef):
-            return self._resolve(expr, scope)
+            family = self._resolve(expr, scope)
+            if ctx.group:
+                self._emit(
+                    "SQL413",
+                    WARNING,
+                    f"column {expr.to_sql()!r} is neither grouped nor "
+                    f"aggregated; evaluated on an arbitrary row of each group",
+                    expr,
+                )
+            return family
         if isinstance(expr, Star):
             return None  # legality handled where stars may appear
         if isinstance(expr, BinaryOp):
@@ -643,7 +624,7 @@ class SemanticAnalyzer:
         if isinstance(expr, FuncCall):
             return self._infer_call(expr, scope, ctx)
         if isinstance(expr, CaseExpr):
-            return self._infer_case(expr, scope, ctx, grouped=False)
+            return self._infer_case(expr, scope, ctx)
         if isinstance(expr, WindowFunction):
             return self._infer_window(expr, scope, ctx)
         if isinstance(expr, SubqueryExpr):
@@ -652,26 +633,21 @@ class SemanticAnalyzer:
 
     # -- CASE and window functions ------------------------------------------
 
-    def _infer_case(
-        self, expr: CaseExpr, scope: _Scope, ctx: _Ctx, grouped: bool
-    ) -> Optional[str]:
-        """Type-family inference through a CASE expression.
+    def _infer_case(self, expr: CaseExpr, scope: _Scope, ctx: _Ctx) -> Optional[str]:
+        """Type-family inference through a CASE expression, over a row or
+        a group alike.
 
         Simple-form WHEN operands incompatible with the CASE operand can
         never match (definite equality at runtime, like ``=``); result
         branches of incompatible families make the expression's type
         data-dependent.  Both are warning-grade ``SQL314`` — the executor
         evaluates either way."""
-
-        def sub(e: Expr) -> Optional[str]:
-            if grouped:
-                return self._infer_group(e, scope, ctx)
-            return self._infer(e, scope, ctx)
-
-        operand_family = sub(expr.operand) if expr.operand is not None else None
+        operand_family = (
+            self._infer(expr.operand, scope, ctx) if expr.operand is not None else None
+        )
         result_families: List[Optional[str]] = []
         for when, result in expr.whens:
-            when_family = sub(when)
+            when_family = self._infer(when, scope, ctx)
             if expr.operand is not None and not families_compatible(
                 operand_family, when_family
             ):
@@ -682,9 +658,9 @@ class SemanticAnalyzer:
                     f"WHEN value of type {when_family}",
                     when,
                 )
-            result_families.append(sub(result))
+            result_families.append(self._infer(result, scope, ctx))
         if expr.default is not None:
-            result_families.append(sub(expr.default))
+            result_families.append(self._infer(expr.default, scope, ctx))
         known = [f for f in result_families if f is not None]
         distinct = sorted(set(known))
         if len(distinct) > 1:
@@ -708,11 +684,9 @@ class SemanticAnalyzer:
         name = expr.name.lower()
         upper = expr.name.upper()
         if not ctx.allow_windows:
+            where = f"a grouped query's {ctx.clause}" if ctx.group else ctx.clause
             self._emit(
-                "SQL312",
-                ERROR,
-                f"window function {upper} is not allowed in {ctx.clause}",
-                expr,
+                "SQL312", ERROR, f"window function {upper} is not allowed in {where}", expr
             )
         supported = name in WindowFunction.SUPPORTED
         if not supported:
@@ -742,7 +716,7 @@ class SemanticAnalyzer:
             )
         # Arguments and the window spec are evaluated per-row before any
         # window exists: aggregates and nested window calls there raise.
-        inner = ctx.row(clause=f"{upper} window")
+        inner = _Ctx(clause=f"{upper} window", in_aggregate=ctx.in_aggregate)
         arg_family: Optional[str] = None
         for arg in expr.args:
             if isinstance(arg, Star):
@@ -834,7 +808,7 @@ class SemanticAnalyzer:
                     f"aggregate {upper} nested inside another aggregate",
                     expr,
                 )
-            elif not ctx.allow_aggregates:
+            elif not ctx.group:
                 self._emit(
                     "SQL411",
                     ERROR,
@@ -842,9 +816,7 @@ class SemanticAnalyzer:
                     f"(in {ctx.clause})",
                     expr,
                 )
-            arg_ctx = _Ctx(
-                clause=f"{upper} argument", in_aggregate=True
-            )
+            arg_ctx = _Ctx(clause=f"{upper} argument", in_aggregate=True)
             if name == "count":
                 if not expr.args:
                     self._emit("SQL415", ERROR, "COUNT requires an argument", expr)
@@ -883,7 +855,7 @@ class SemanticAnalyzer:
         if func is None:
             self._emit("SQL214", ERROR, f"unknown function {expr.name!r}", expr)
             for arg in expr.args:
-                self._recurse_arg(arg, scope, ctx)
+                self._infer(arg, scope, ctx)
             return None
         if any(isinstance(arg, Star) for arg in expr.args):
             self._emit(
@@ -893,7 +865,7 @@ class SemanticAnalyzer:
         signature = _SCALAR_SIGNATURES.get(name)
         if signature is None:  # pragma: no cover - every scalar has one
             for arg in expr.args:
-                self._recurse_arg(arg, scope, ctx)
+                self._infer(arg, scope, ctx)
             return None
         min_arity, max_arity, arg_families, result = signature
         if not (min_arity <= len(expr.args) <= max_arity):
@@ -907,7 +879,7 @@ class SemanticAnalyzer:
                 expr,
             )
         for i, arg in enumerate(expr.args):
-            family = self._recurse_arg(arg, scope, ctx)
+            family = self._infer(arg, scope, ctx)
             expected = arg_families[i] if i < len(arg_families) else None
             if expected is not None and family not in (None, expected):
                 self._emit(
@@ -925,14 +897,6 @@ class SemanticAnalyzer:
         ):
             self._emit("SQL307", ERROR, "ROUND digits must be an integer", expr)
         return result
-
-    def _recurse_arg(self, arg: Expr, scope: _Scope, ctx: _Ctx) -> Optional[str]:
-        """Analyze a scalar-function argument in the caller's mode: the
-        executor's grouped evaluator recurses into scalar arguments with
-        group semantics, the per-row evaluator with row semantics."""
-        if ctx.group:
-            return self._infer_group(arg, scope, ctx)
-        return self._infer(arg, scope, ctx)
 
     # -- subqueries ---------------------------------------------------------
 
@@ -976,65 +940,6 @@ class SemanticAnalyzer:
                 return BOOL
             return sub_family
         return BOOL  # exists / not_exists
-
-    # -- grouped-context inference ------------------------------------------
-
-    def _infer_group(self, expr: Expr, scope: _Scope, ctx: _Ctx) -> Optional[str]:
-        """Mirror of ``Executor._eval_group``: aggregates are reachable
-        only through the recursion the grouped evaluator actually
-        performs (boolean/arithmetic operators, unary operators, scalar
-        function arguments); every other node falls back to per-row
-        evaluation on a representative group member — where an aggregate
-        would raise, and a bare non-grouped column silently reads the
-        representative row (warning)."""
-        if ctx.group_keys and expr in ctx.group_keys:
-            # A grouping key: constant within the group, fully legal.
-            # Re-infer quietly for its family (duplicates are deduped).
-            return self._infer(expr, scope, ctx.row())
-        if isinstance(expr, FuncCall) and expr.is_aggregate:
-            return self._infer_call(expr, scope, ctx)
-        if isinstance(expr, Literal):
-            return value_family(expr.value)
-        if isinstance(expr, BinaryOp):
-            if expr.op in ("AND", "OR"):
-                self._infer_group(expr.left, scope, ctx)
-                self._infer_group(expr.right, scope, ctx)
-                return BOOL
-            left = self._infer_group(expr.left, scope, ctx)
-            right = self._infer_group(expr.right, scope, ctx)
-            return self._check_binary(expr, left, right)
-        if isinstance(expr, UnaryOp):
-            operand = self._infer_group(expr.operand, scope, ctx)
-            return self._check_unary(expr, operand)
-        if isinstance(expr, FuncCall):
-            return self._infer_call(expr, scope, ctx)
-        if isinstance(expr, CaseExpr):
-            return self._infer_case(expr, scope, ctx, grouped=True)
-        if isinstance(expr, WindowFunction):
-            # Mirror of _eval_group: the grouped evaluator has no window
-            # scope, so any window call there raises — before recursing.
-            self._emit(
-                "SQL312",
-                ERROR,
-                f"window function {expr.name.upper()} is not supported in a "
-                "grouped query",
-                expr,
-            )
-            return None
-        # Representative-row frontier: IS NULL / BETWEEN / IN / subqueries
-        # and bare columns are handed to the per-row evaluator on one
-        # member of the group.
-        family = self._infer(expr, scope, ctx.row())
-        for node in expr.walk():
-            if isinstance(node, ColumnRef) and node not in ctx.group_keys:
-                self._emit(
-                    "SQL413",
-                    WARNING,
-                    f"column {node.to_sql()!r} is neither grouped nor "
-                    f"aggregated; evaluated on an arbitrary row of each group",
-                    node,
-                )
-        return family
 
 
 def analyze(database: "Database", stmt: SelectStatement) -> AnalysisResult:

@@ -30,10 +30,11 @@ Design rules, in priority order:
      at compile time and the query **falls back** to the row path, which
      then produces the canonical behaviour (including errors);
    - grouped blocks are not mirrored: the engine partitions the surviving
-     rows and hands :class:`_GroupCtx` views to the executor's one
-     grouped evaluator, so HAVING, CASE, ORDER BY keys and every
-     per-value rule (:mod:`repro.sqldb.types`) run the row path's code.
-     Only an aggregate over a local column is computed on the arrays.
+     rows and hands :class:`_GroupCtx` views, each a scope, to the
+     executor's one expression evaluator, so HAVING, CASE, ORDER BY keys
+     and every per-value rule (:mod:`repro.sqldb.types`) run the row
+     path's code.  Only an aggregate over a local column is computed on
+     the arrays.
 
 2. **Three-valued logic as a pair of bool masks.**  Every kernel returns
    disjoint ``(true, unknown)`` arrays (FALSE is neither), and
@@ -546,6 +547,17 @@ _ORDER_OPS = ("<", "<=", ">", ">=")
 _VALUE_KINDS = ("int", "float", "bool", "date", "text")
 
 
+def _local_col(ref: ColumnRef, schema: Any, binding: str) -> int:
+    """Position of ``ref`` in the scanned table, or :class:`_Unsupported`:
+    a reference to another binding, or one that may be a correlated outer
+    reference (or an error), is resolved by the row path's walk."""
+    if ref.table is not None and ref.table.lower() != binding:
+        raise _Unsupported(f"column {ref.to_sql()!r} is outside the scanned table")
+    if ref.column not in schema:
+        raise _Unsupported(f"column {ref.to_sql()!r} does not resolve locally")
+    return schema.column_index(ref.column)
+
+
 def _stmt_exprs(stmt: SelectStatement):
     """Every expression root of a single-block statement, in clause order."""
     for item in stmt.select_items:
@@ -574,17 +586,8 @@ class _WhereCompiler:
 
     # -- resolution ---------------------------------------------------------
 
-    def _col(self, ref: ColumnRef) -> int:
-        if ref.table is not None and ref.table.lower() != self.binding:
-            raise _Unsupported(f"column {ref.to_sql()!r} is outside the scanned table")
-        if ref.column not in self.schema:
-            # Could be a correlated outer reference (or an error); either
-            # way the row path owns the resolution walk.
-            raise _Unsupported(f"column {ref.to_sql()!r} does not resolve locally")
-        return self.schema.column_index(ref.column)
-
     def _value_col(self, ref: ColumnRef) -> int:
-        j = self._col(ref)
+        j = _local_col(ref, self.schema, self.binding)
         if self.store.cols[j].kind not in _VALUE_KINDS:
             raise _Unsupported(f"column {ref.column!r} has no vectorizable storage")
         return j
@@ -613,7 +616,8 @@ class _WhereCompiler:
             raise _Unsupported(f"operator {op!r} in WHERE")
         if isinstance(expr, IsNull):
             if isinstance(expr.operand, ColumnRef):
-                return _IsNullPred(self._col(expr.operand), expr.negated)
+                j = _local_col(expr.operand, self.schema, self.binding)
+                return _IsNullPred(j, expr.negated)
             if isinstance(expr.operand, Literal):
                 is_null = expr.operand.value is None
                 return _Const((not is_null) if expr.negated else is_null)
@@ -713,7 +717,7 @@ class _WhereCompiler:
             and isinstance(right, Literal)
             and isinstance(right.value, str)
         ):
-            j = self._col(left)
+            j = _local_col(left, self.schema, self.binding)
             if self.store.cols[j].kind == "text":
                 return _LikePred(j, right.value)
             # Non-text columns raise LikeTypeError per row (but only for
@@ -790,9 +794,10 @@ class _GroupCtx(_Group):
     """One group of the vectorized path: its ascending row indices into
     the store.  An aggregate over a local column runs on the arrays; any
     other aggregate argument is evaluated over member scopes, built on
-    first use, and bare columns read a scope of the first member."""
+    first use.  The representative scope is the first member's row, or
+    the all-NULL row for the one empty group."""
 
-    __slots__ = ("binding", "store", "schema", "rows_list", "gidx", "parent", "_rep")
+    __slots__ = ("binding", "store", "schema", "rows_list", "gidx", "parent")
 
     def __init__(
         self,
@@ -811,18 +816,26 @@ class _GroupCtx(_Group):
         self.rows_list = rows_list
         self.gidx = gidx
         self.parent = parent
-        self._rep: Optional[_Scope] = None
 
-    def _scope(self, i: int) -> _Scope:
-        return _Scope([(self.binding, self.schema, self.rows_list[i])], self.parent)
+    def _scope(self, row: tuple) -> _Scope:
+        return _Scope([(self.binding, self.schema, row)], self.parent)
 
     def rep(self) -> _Scope:
         if self._rep is None:
-            self._rep = self._scope(int(self.gidx[0]))
+            if self.size:
+                self._rep = self._scope(self.rows_list[int(self.gidx[0])])
+            else:
+                self._rep = self._scope((None,) * len(self.schema))
         return self._rep
 
     def aggregate(self, executor: Any, call: FuncCall, func: Callable[..., Any]) -> Any:
-        j = self._aggregate_col(call.args[0])
+        arg = call.args[0]
+        j = None
+        if isinstance(arg, ColumnRef):
+            try:
+                j = _local_col(arg, self.schema, self.binding)
+            except _Unsupported:
+                pass  # an outer column: the member scopes resolve it
         if j is not None:
             result = self._fast_aggregate(call.name.lower(), call.distinct, j)
             if result is not _NO_FAST:
@@ -830,19 +843,8 @@ class _GroupCtx(_Group):
             pylist = self.store.cols[j].pylist
             return func([pylist[i] for i in self.gidx.tolist()], distinct=call.distinct)
         if not self.members:
-            self.members = [self._scope(i) for i in self.gidx.tolist()]
+            self.members = [self._scope(self.rows_list[i]) for i in self.gidx.tolist()]
         return super().aggregate(executor, call, func)
-
-    def _aggregate_col(self, arg: Expr) -> Optional[int]:
-        """Column position when the aggregate argument is a locally
-        resolvable column reference, else ``None`` (scope-path eval)."""
-        if not isinstance(arg, ColumnRef):
-            return None
-        if arg.table is not None and arg.table.lower() != self.binding:
-            return None
-        if arg.column not in self.schema:
-            return None
-        return self.schema.column_index(arg.column)
 
     def _fast_aggregate(self, name: str, distinct: bool, j: int) -> Any:
         """Vectorized aggregate when provably exact, else ``_NO_FAST``.
@@ -1029,19 +1031,12 @@ class ColumnarEngine:
                 for expr in stmt.group_by:
                     if not isinstance(expr, ColumnRef):
                         raise _Unsupported("computed GROUP BY key")
-                    group_js.append(self._local_col(expr, schema, binding))
+                    group_js.append(_local_col(expr, schema, binding))
         else:
             fast_items, fast_order = self._fast_projection(stmt, schema, binding)
         return _CompiledQuery(
             table.name, binding, pred, grouped, group_js, fast_items, fast_order
         )
-
-    def _local_col(self, ref: ColumnRef, schema: Any, binding: str) -> int:
-        if ref.table is not None and ref.table.lower() != binding:
-            raise _Unsupported(f"column {ref.to_sql()!r} is outside the scanned table")
-        if ref.column not in schema:
-            raise _Unsupported(f"column {ref.to_sql()!r} does not resolve locally")
-        return schema.column_index(ref.column)
 
     def _fast_projection(
         self, stmt: SelectStatement, schema: Any, binding: str

@@ -238,8 +238,9 @@ class NestedAggregateError(AggregateError):
 
 class UngroupedColumnError(AggregateError):
     """A bare column in a grouped query that is not a grouping key.  The
-    engine follows SQLite and evaluates it on a representative row, so
-    the analyzer reports this as a warning."""
+    engine follows SQLite and reads it from the group's first row (NULL
+    in the empty whole-table group), so the analyzer reports this as a
+    warning."""
 
     code = "SQL413"
 

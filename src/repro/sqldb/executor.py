@@ -44,7 +44,7 @@ different order.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .ast import (
     Between,
@@ -171,21 +171,32 @@ _MISSING = _Missing()
 
 
 class _Group:
-    """One group of the row path: its member scopes in input order.
+    """One group of a grouped block, and the scope its HAVING, select
+    list and ORDER BY keys evaluate in: an aggregate reads every member
+    scope (in input order), anything else reads the representative
+    scope :meth:`rep`, so a bare column reads the first member.
 
-    The grouped evaluator reads a group only through ``size``, ``rep``
-    (the member bare columns are read from) and :meth:`aggregate`; the
-    columnar engine's group view overrides the last two to read its
-    column store."""
+    Only the whole-table group of an empty input is empty.  Its
+    representative is an all-NULL row over the block's FROM/JOIN
+    bindings: a bare column there is NULL, and ``a IS NULL``, ``1 IN
+    (1, 2)`` or an uncorrelated subquery evaluate as sqlite3 does.  The
+    columnar engine's group view overrides :meth:`rep` and
+    :meth:`aggregate` to read its column store."""
 
-    __slots__ = ("members", "size")
+    __slots__ = ("members", "size", "_rep")
 
-    def __init__(self, members: List[_Scope]):
+    def __init__(self, members: List[_Scope], empty_rep: Optional[_Scope] = None):
         self.members = members
         self.size = len(members)
+        self._rep = members[0] if members else empty_rep
 
     def rep(self) -> _Scope:
-        return self.members[0]
+        assert self._rep is not None
+        return self._rep
+
+    def resolve(self, ref: ColumnRef) -> Any:
+        """A bare column reads the representative scope."""
+        return self.rep().resolve(ref)
 
     def aggregate(
         self, executor: "Executor", call: FuncCall, func: Callable[..., Any]
@@ -193,6 +204,10 @@ class _Group:
         """``func`` over the call's argument evaluated on every member."""
         values = [executor._eval(call.args[0], scope) for scope in self.members]
         return func(values, distinct=call.distinct)
+
+
+#: what an expression evaluates over: one row, or one group of a grouped block
+_AnyScope = Union[_Scope, _Group]
 
 
 class Executor:
@@ -218,11 +233,13 @@ class Executor:
     surface only as the analyzer's SQL5xx warnings.
 
     Per-value rules (three-valued comparison, arithmetic, ``LIKE``, the
-    Kleene connectives) come from :mod:`repro.sqldb.types`.  Grouped
-    blocks run through one evaluator, :meth:`_project_groups`, over
-    group objects: a :class:`_Group` of member scopes here, or the
-    columnar engine's group view, whose aggregates over a local column
-    read the column store.
+    Kleene connectives) come from :mod:`repro.sqldb.types`.  A group is
+    a scope: :meth:`_eval` evaluates every expression, over a row or
+    over a group, and an aggregate is legal only over a group.
+    :meth:`_project_groups` runs HAVING, the select list and ORDER BY
+    over a :class:`_Group` of member scopes here, or over the columnar
+    engine's group view, whose aggregates over a local column read the
+    column store.
     """
 
     def __init__(
@@ -433,7 +450,7 @@ class Executor:
                 scopes = [s for s in scopes if self._truthy(self._eval(stmt.where, s))]
 
         if stmt.is_grouped():
-            rows, order_rows = self._project_groups(stmt, self._groups(stmt, scopes))
+            rows, order_rows = self._project_groups(stmt, self._groups(stmt, scopes, parent))
         else:
             rows, order_rows = self._project_rows(stmt, scopes)
 
@@ -909,12 +926,22 @@ class Executor:
                 pos = end
         return values
 
-    def _groups(self, stmt: SelectStatement, scopes: List[_Scope]) -> List[_Group]:
+    def _groups(
+        self, stmt: SelectStatement, scopes: List[_Scope], parent: Optional[_Scope]
+    ) -> List[_Group]:
         """Partition rows by the GROUP BY key, groups in first-occurrence
         order; without GROUP BY the whole input is one group, possibly
-        empty."""
+        empty, whose representative is then an all-NULL row."""
         if not stmt.group_by:
-            return [_Group(scopes)]
+            if scopes:
+                return [_Group(scopes)]
+            refs = [stmt.from_table] if stmt.from_table is not None else []
+            refs.extend(join.table for join in stmt.joins)
+            nulls = []
+            for ref in refs:
+                schema = self.database.table(ref.table).schema
+                nulls.append((ref.binding.lower(), schema, (None,) * len(schema)))
+            return [_Group([], _Scope(nulls, parent))]
         groups: Dict[Tuple[Any, ...], List[_Scope]] = {}
         for scope in scopes:
             key = tuple(_hashable(self._eval(expr, scope)) for expr in stmt.group_by)
@@ -924,25 +951,23 @@ class Executor:
     def _project_groups(
         self, stmt: SelectStatement, groups: Sequence[_Group]
     ) -> Tuple[List[Tuple[Any, ...]], List[Tuple[Any, ...]]]:
-        """HAVING, the select list and the ORDER BY keys of every group:
-        the one grouped evaluator, over row-path groups and columnar
-        group views alike."""
+        """HAVING, the select list and the ORDER BY keys of every group,
+        each evaluated by :meth:`_eval` with the group as its scope, over
+        row-path groups and columnar group views alike."""
         alias_map = self._alias_exprs(stmt)
         order_exprs = [self._substitute_alias(o.expr, alias_map) for o in stmt.order_by]
         rows: List[Tuple[Any, ...]] = []
         order_rows: List[Tuple[Any, ...]] = []
         for group in groups:
-            if stmt.having is not None and not self._truthy(
-                self._eval_group(stmt.having, group)
-            ):
+            if stmt.having is not None and not self._truthy(self._eval(stmt.having, group)):
                 continue
             out = []
             for item in stmt.select_items:
                 if isinstance(item.expr, Star):
                     raise GroupedStarError("SELECT * is not valid in a grouped query")
-                out.append(self._eval_group(item.expr, group))
+                out.append(self._eval(item.expr, group))
             rows.append(tuple(out))
-            order_rows.append(tuple(self._eval_group(e, group) for e in order_exprs))
+            order_rows.append(tuple(self._eval(e, group) for e in order_exprs))
         return rows, order_rows
 
     def _alias_exprs(self, stmt: SelectStatement) -> Dict[str, Expr]:
@@ -966,11 +991,24 @@ class Executor:
         # False and unknown (None) filter out, per three-valued logic.
         return bool(value) and value is not None
 
-    def _eval(self, expr: Expr, scope: _Scope) -> Any:
+    def _eval(self, expr: Expr, scope: _AnyScope) -> Any:
         if isinstance(expr, Literal):
             return expr.value
         if isinstance(expr, ColumnRef):
             return scope.resolve(expr)
+        if isinstance(expr, FuncCall):
+            if expr.is_aggregate:
+                if isinstance(scope, _Group):
+                    return self._eval_aggregate(expr, scope)
+                raise MisplacedAggregateError(
+                    f"aggregate {expr.name.upper()} used outside a grouped context"
+                )
+            if any(isinstance(arg, Star) for arg in expr.args):
+                raise FunctionArityError(
+                    f"'*' is not a valid argument to {expr.name.upper()}"
+                )
+            args = [self._eval(arg, scope) for arg in expr.args]
+            return call_scalar(expr.name, args)
         if isinstance(expr, Star):
             raise ExecutionError("'*' is only valid in SELECT or COUNT(*)")
         if isinstance(expr, BinaryOp):
@@ -1011,17 +1049,6 @@ class Executor:
             else:
                 result = False
             return not3(result) if expr.negated else result
-        if isinstance(expr, FuncCall):
-            if expr.is_aggregate:
-                raise MisplacedAggregateError(
-                    f"aggregate {expr.name.upper()} used outside a grouped context"
-                )
-            if any(isinstance(arg, Star) for arg in expr.args):
-                raise FunctionArityError(
-                    f"'*' is not a valid argument to {expr.name.upper()}"
-                )
-            args = [self._eval(arg, scope) for arg in expr.args]
-            return call_scalar(expr.name, args)
         if isinstance(expr, CaseExpr):
             # Searched form: first WHEN whose condition is definitely
             # true (unknown skips, like WHERE).  Simple form: definite
@@ -1045,13 +1072,14 @@ class Executor:
                     return value
             raise MisplacedWindowError(
                 f"window function {expr.name.upper()} used where no window "
-                "scope exists (WHERE, JOIN ON, GROUP BY or a nested call)"
+                "scope exists (WHERE, JOIN ON, GROUP BY, a grouped query or a "
+                "nested call)"
             )
         if isinstance(expr, SubqueryExpr):
             return self._eval_subquery(expr, scope)
         raise ExecutionError(f"cannot evaluate expression {expr!r}")  # pragma: no cover
 
-    def _eval_binary(self, expr: BinaryOp, scope: _Scope) -> Any:
+    def _eval_binary(self, expr: BinaryOp, scope: _AnyScope) -> Any:
         op = expr.op
         if op == "AND":
             # Kleene conjunction, short-circuiting on a definite False so
@@ -1067,14 +1095,15 @@ class Executor:
             return or3(left, bool3(self._eval(expr.right, scope)))
         return binary_value(op, self._eval(expr.left, scope), self._eval(expr.right, scope))
 
-    def _eval_subquery(self, expr: SubqueryExpr, scope: _Scope) -> Any:
+    def _eval_subquery(self, expr: SubqueryExpr, scope: _AnyScope) -> Any:
         self._stats.subqueries += 1
         # The enclosing block's window values must not leak into the
         # subquery's own evaluation (its windows get their own scope).
         saved = self._active_windows
         self._active_windows = None
+        parent = scope.rep() if isinstance(scope, _Group) else scope
         try:
-            result = self._execute(expr.query, parent=scope)
+            result = self._execute(expr.query, parent=parent)
         finally:
             self._active_windows = saved
         if expr.kind == "scalar":
@@ -1107,63 +1136,6 @@ class Executor:
             has_rows = bool(result.rows)
             return not has_rows if expr.kind == "not_exists" else has_rows
         raise ExecutionError(f"unknown subquery kind {expr.kind!r}")  # pragma: no cover
-
-    # -- grouped evaluation -------------------------------------------------------
-
-    def _eval_group(self, expr: Expr, group: _Group) -> Any:
-        if isinstance(expr, FuncCall) and expr.is_aggregate:
-            return self._eval_aggregate(expr, group)
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, BinaryOp):
-            if expr.op in ("AND", "OR"):
-                # Kleene connectives, same as the per-row path.
-                left = bool3(self._eval_group(expr.left, group))
-                if expr.op == "AND" and left is False:
-                    return False
-                if expr.op == "OR" and left is True:
-                    return True
-                right = bool3(self._eval_group(expr.right, group))
-                if expr.op == "AND":
-                    return and3(left, right)
-                return or3(left, right)
-            return binary_value(
-                expr.op, self._eval_group(expr.left, group), self._eval_group(expr.right, group)
-            )
-        if isinstance(expr, UnaryOp):
-            inner = self._eval_group(expr.operand, group)
-            if expr.op.upper() == "NOT":
-                return not3(bool3(inner))
-            return negate(inner)
-        if isinstance(expr, FuncCall):
-            args = [self._eval_group(a, group) for a in expr.args]
-            return call_scalar(expr.name, args)
-        if isinstance(expr, CaseExpr):
-            # Mirrors the per-row CASE, with aggregate-capable sub-eval.
-            if expr.operand is not None:
-                operand = self._eval_group(expr.operand, group)
-                for when, result in expr.whens:
-                    if values_equal(operand, self._eval_group(when, group)):
-                        return self._eval_group(result, group)
-            else:
-                for when, result in expr.whens:
-                    if self._truthy(self._eval_group(when, group)):
-                        return self._eval_group(result, group)
-            if expr.default is not None:
-                return self._eval_group(expr.default, group)
-            return None
-        if isinstance(expr, WindowFunction):
-            raise MisplacedWindowError(
-                f"window function {expr.name.upper()} is not supported in a "
-                "grouped query"
-            )
-        # Bare columns / other expressions: evaluate on a representative row
-        # of the group (valid for GROUP BY keys; pragmatic otherwise, as in
-        # SQLite).  The empty whole-table group (aggregate over zero rows)
-        # yields NULL for bare columns, as MySQL does.
-        if not group.size:
-            return None
-        return self._eval(expr, group.rep())
 
     def _eval_aggregate(self, call: FuncCall, group: _Group) -> Any:
         func = AGGREGATE_FUNCTIONS.get(call.name.lower())

@@ -24,8 +24,12 @@ from repro.sqldb import (
     ERROR_CLASS_BY_CODE,
     AggregateError,
     CatalogError,
+    Column,
+    Database,
+    DataType,
     Executor,
     SqlError,
+    TableSchema,
     UnknownFunctionError,
     parse_select,
 )
@@ -37,6 +41,9 @@ from repro.sqldb.errors import (
     LikeTypeError,
     UnknownColumnError,
 )
+from tests.test_sqldb_dialect import ROWS_T, ROWS_U
+from tests.test_sqldb_null_semantics import GROUPED_PREDICATES
+from tests.test_sqldb_null_semantics import ROWS as NULL_ROWS
 from tests.test_sqldb_planner import EMP_CORPUS, ERROR_CORPUS, SHOP_CORPUS
 
 # Exception families the executor can only raise for statically decidable
@@ -174,6 +181,62 @@ class TestDiagnostics:
     def test_format_shows_position_severity_code(self, emp_db):
         line = emp_db.analyze_sql("SELECT bogus FROM emp").errors[0].format()
         assert line.startswith("1:8 [error SQL211]")
+
+
+def _corpus_db(corpus: str) -> Database:
+    """The NULL corpus's t(id, a, b, s), or the dialect corpus's t(a, b, c)
+    and u(a, b, c), with their rows."""
+    db = Database(corpus)
+    if corpus == "nulls":
+        tables = [
+            (
+                "t",
+                [
+                    Column("id", DataType.INTEGER, primary_key=True, nullable=False),
+                    Column("a", DataType.INTEGER),
+                    Column("b", DataType.INTEGER),
+                    Column("s", DataType.TEXT),
+                ],
+                NULL_ROWS,
+            )
+        ]
+    else:
+        tables = [
+            (
+                name,
+                [
+                    Column("a", DataType.INTEGER),
+                    Column("b", DataType.FLOAT),
+                    Column("c", DataType.TEXT),
+                ],
+                rows,
+            )
+            for name, rows in (("t", ROWS_T), ("u", ROWS_U))
+        ]
+    for name, columns, rows in tables:
+        db.create_table(TableSchema(name, columns))
+        db.insert_many(name, [list(row) for row in rows])
+    return db
+
+
+#: predicates over an aggregate and expressions over the empty whole-table
+#: group, each with the corpus table it was written for
+GROUPED = [(sql, "nulls") for sql in GROUPED_PREDICATES] + [
+    ("SELECT c, COUNT(*) FROM t GROUP BY c ORDER BY SUM(a) IS NULL, c", "dialect"),
+]
+
+
+class TestGroupedPredicates:
+    @pytest.mark.parametrize("sql,corpus", GROUPED)
+    def test_accepted_and_contract_holds(self, sql, corpus):
+        db = _corpus_db(corpus)
+        result = db.analyze_sql(sql)
+        assert result.ok, [d.format() for d in result.diagnostics]
+        assert "SQL411" not in result.codes()
+        # only a bare non-grouped column is worth SQL413
+        bare = sql == "SELECT COUNT(*), a IS NULL FROM t WHERE b > 100"
+        assert ("SQL413" in result.codes()) == bare, result.codes()
+        assert_contract(db, sql)
 
 
 class TestExecutorPreflight:

@@ -191,6 +191,7 @@ ORDERED_CORPUS = [
     "SELECT a FROM t EXCEPT SELECT a FROM u ORDER BY 1 DESC",
     "SELECT a, b FROM t INTERSECT SELECT a, b FROM u ORDER BY a, b LIMIT 2",
     "SELECT c FROM t UNION SELECT c FROM u ORDER BY c LIMIT 3 OFFSET 1",
+    "SELECT c, COUNT(*) FROM t GROUP BY c ORDER BY SUM(a) IS NULL, c",
 ]
 
 
