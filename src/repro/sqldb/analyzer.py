@@ -38,11 +38,11 @@ Severity encodes the **differential contract** with the executor:
   executor's pre-flight turns the first such diagnostic back into that
   exception, so rejected statements fail with exactly the error the
   interpreter would have produced, only earlier and with a source span.
-- ``warning`` — the executor tolerates the construct (a comparison that
-  is always false, a bare non-grouped column read SQLite-style from the
-  group's first row — NULL in the empty whole-table group of an empty
-  input — a silently ignored ``HAVING``), but the statement almost
-  certainly does not mean what it says.  Candidate rankers use warnings
+- ``warning`` — the executor tolerates the construct, but the statement
+  almost certainly does not mean what it says: a comparison that is
+  always false, a bare non-grouped column (read SQLite-style from the
+  group's first row, and NULL in the empty whole-table group of an empty
+  input), a silently ignored ``HAVING``.  Candidate rankers use warnings
   as soft penalties.
 
 The mirror is deliberately exact: every check documents the executor
@@ -686,7 +686,10 @@ class SemanticAnalyzer:
         if not ctx.allow_windows:
             where = f"a grouped query's {ctx.clause}" if ctx.group else ctx.clause
             self._emit(
-                "SQL312", ERROR, f"window function {upper} is not allowed in {where}", expr
+                "SQL312",
+                ERROR,
+                f"window function {upper} is not allowed in {where}",
+                expr,
             )
         supported = name in WindowFunction.SUPPORTED
         if not supported:
@@ -816,7 +819,9 @@ class SemanticAnalyzer:
                     f"(in {ctx.clause})",
                     expr,
                 )
-            arg_ctx = _Ctx(clause=f"{upper} argument", in_aggregate=True)
+            arg_ctx = _Ctx(
+                clause=f"{upper} argument", in_aggregate=True
+            )
             if name == "count":
                 if not expr.args:
                     self._emit("SQL415", ERROR, "COUNT requires an argument", expr)

@@ -830,7 +830,7 @@ class _GroupCtx(_Group):
 
     def aggregate(self, executor: Any, call: FuncCall, func: Callable[..., Any]) -> Any:
         arg = call.args[0]
-        j = None
+        j: Optional[int] = None
         if isinstance(arg, ColumnRef):
             try:
                 j = _local_col(arg, self.schema, self.binding)

@@ -238,6 +238,22 @@ class TestGroupedPredicates:
         assert ("SQL413" in result.codes()) == bare, result.codes()
         assert_contract(db, sql)
 
+    @pytest.mark.parametrize(
+        "sql,code",
+        [
+            ("SELECT COUNT(*), UPPER(*) FROM t", "SQL417"),
+            ("SELECT COUNT(*), UPPER(*) FROM t WHERE b > 100", "SQL417"),
+            ("SELECT COUNT(*), nosuch FROM t WHERE b > 100", "SQL211"),
+        ],
+    )
+    def test_errors_over_a_group_raise_the_analyzer_class(self, sql, code):
+        """Over a group, empty or not, a star argument or an unknown name
+        raises the class of the analyzer's first error: the empty group's
+        all-NULL row still resolves names by schema."""
+        db = _corpus_db("nulls")
+        assert db.analyze_sql(sql).errors[0].code == code
+        assert_contract(db, sql)
+
 
 class TestExecutorPreflight:
     def test_rejection_raises_mapped_class_before_any_row(self, emp_db):
