@@ -717,9 +717,15 @@ class SemanticAnalyzer:
             self._emit(
                 "SQL313", ERROR, f"{upper} takes exactly one argument", expr
             )
-        # Arguments and the window spec are evaluated per-row before any
-        # window exists: aggregates and nested window calls there raise.
-        inner = _Ctx(clause=f"{upper} window", in_aggregate=ctx.in_aggregate)
+        # Arguments and the window spec are evaluated per input row (per
+        # group in a grouped block) before any window exists: nested window
+        # calls there raise, and aggregates unless the rows are groups.
+        inner = _Ctx(
+            clause=f"{upper} window",
+            group=ctx.group,
+            in_aggregate=ctx.in_aggregate,
+            group_keys=ctx.group_keys,
+        )
         arg_family: Optional[str] = None
         for arg in expr.args:
             if isinstance(arg, Star):

@@ -254,6 +254,14 @@ class TestGroupedPredicates:
         assert db.analyze_sql(sql).errors[0].code == code
         assert_contract(db, sql)
 
+    def test_window_over_groups_is_only_misplaced(self):
+        """A grouped block has no window scope (SQL312); the window's own
+        arguments read groups, so the aggregate inside is not SQL411."""
+        db = _corpus_db("dialect")
+        sql = "SELECT c, RANK() OVER (ORDER BY SUM(a)) FROM t GROUP BY c"
+        assert db.analyze_sql(sql).codes() == ["SQL312"]
+        assert_contract(db, sql)
+
 
 class TestExecutorPreflight:
     def test_rejection_raises_mapped_class_before_any_row(self, emp_db):
