@@ -32,7 +32,7 @@ import sys
 from typing import List, Optional
 
 from repro.bench.domains import build_domain, domain_names
-from repro.core import NLIDBContext, available, create
+from repro.core import NLIDBContext, NoAnswer, available, create
 from repro.systems import AthenaSystem  # noqa: F401  (imported to populate the registry)
 
 
@@ -41,23 +41,22 @@ def _build_context(domain: str, seed: int, use_schema_index: bool = True) -> NLI
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
-    """One-shot question answering."""
+    """One-shot question answering: the same candidate pruning and
+    choice as ``NLIDBSystem.answer`` and ``repro serve``."""
     context = _build_context(
         args.domain, args.seed, use_schema_index=not args.no_schema_index
     )
     system = create(args.system)
-    interpretations = system.interpret(args.question, context)
-    if not interpretations:
-        print("no interpretation (the system abstained)")
-        return 1
-    top = max(interpretations, key=lambda i: i.confidence)
+    interpretations = context.interpret(system, args.question)
     try:
-        statement = top.to_sql(context.ontology, context.mapping)
-        result = context.executor.execute(statement)
+        top, result = context.run_best(system, interpretations)
+    except NoAnswer as exc:
+        print(f"{exc.reason} (the system abstained)")
+        return 1
     except Exception as exc:
         print(f"interpretation failed to execute: {exc}")
         return 1
-    print(f"SQL: {statement.to_sql()}")
+    print(f"SQL: {top.sql.to_sql()}")
     if args.explain:
         print()
         if top.oql is not None:
@@ -67,7 +66,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
     print(result.to_text(max_rows=args.rows))
     if args.stats:
         print()
-        _print_stats(context.executor.last_stats)
+        _print_stats(context.last_stats)
     return 0
 
 

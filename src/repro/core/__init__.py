@@ -14,7 +14,7 @@
 """
 
 from .complexity import ComplexityTier, classify, spider_hardness, tier_at_most
-from .errors import CompilationError, InterpretationError, NLIDBError
+from .errors import CompilationError, InterpretationError, NLIDBError, NoAnswer
 from .evidence import EvidenceAnnotation, coverage, covered_tokens, resolve_overlaps
 from .feedback import (
     ClarificationOption,
@@ -47,7 +47,7 @@ from .registry import available, create, register, registered
 
 __all__ = [
     "ComplexityTier", "classify", "tier_at_most", "spider_hardness",
-    "NLIDBError", "InterpretationError", "CompilationError",
+    "NLIDBError", "InterpretationError", "CompilationError", "NoAnswer",
     "EvidenceAnnotation", "coverage", "covered_tokens", "resolve_overlaps",
     "OQLQuery", "OQLItem", "OQLCondition", "OQLHasCondition", "OQLOrder", "PropertyRef",
     "OQLCompiler", "compile_oql",

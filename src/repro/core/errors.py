@@ -31,3 +31,16 @@ class CompilationError(NLIDBError):
     """Raised when an OQL query cannot be compiled to SQL."""
 
     code = "NLQ520"
+
+
+class NoAnswer(NLIDBError):
+    """The system produced no interpretation, or none survived static
+    analysis: an abstention.  Deterministic, so the serving layer never
+    retries it and goes straight to the next system."""
+
+    code = "NLQ530"
+
+    def __init__(self, system: str, reason: str):
+        super().__init__(f"{system}: {reason}")
+        self.system = system
+        self.reason = reason

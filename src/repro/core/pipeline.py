@@ -4,14 +4,18 @@
 in this reproduction — the survey's own framing (§4: systems differ in
 *interpretation method*, not in what they must produce).  The
 :class:`NLIDBContext` bundles the per-database resources interpretation
-needs (indexes, ontology, reasoner) so they are built once and shared by
-all systems under comparison.
+needs (value index, ontology, reasoner) so they are built once and
+shared by all systems under comparison.
+
+:meth:`NLIDBContext.run_best` is the one place a system's candidate list
+becomes an answer: static-analysis pruning, then the best survivor runs.
+``NLIDBSystem.answer``, the serving layer and ``repro ask`` all call it.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.nlp.thesaurus import DEFAULT_THESAURUS, Thesaurus
 from repro.ontology.builder import build_ontology
@@ -21,9 +25,10 @@ from repro.ontology.reasoner import Reasoner
 from repro.perf.profiler import profile_stage
 from repro.sqldb.database import Database
 from repro.sqldb.executor import Executor
-from repro.sqldb.index import DatabaseIndex
+from repro.sqldb.index import ValueIndex
 from repro.sqldb.relation import Relation
 
+from .errors import NoAnswer
 from .interpretation import Interpretation
 from .ranking import apply_static_analysis
 from .schema_index import PruningCounters, SchemaIndex
@@ -34,7 +39,9 @@ class NLIDBContext:
 
     Building the value index and the ontology is linear in the data; the
     context makes that a one-time cost per database, mirroring how real
-    systems build their indexes offline.
+    systems build their indexes offline.  Metadata lookups go through
+    the schema index (or the annotator's brute-force scan), data lookups
+    through ``value_index``.
     """
 
     def __init__(
@@ -43,18 +50,17 @@ class NLIDBContext:
         ontology: Optional[Ontology] = None,
         mapping: Optional[OntologyMapping] = None,
         thesaurus: Optional[Thesaurus] = None,
-        use_planner: bool = True,
         use_schema_index: bool = True,
     ):
         self.database = database
-        self.index = DatabaseIndex(database)
+        self.value_index = ValueIndex(database)
         if ontology is None or mapping is None:
             ontology, mapping = build_ontology(database)
         self.ontology = ontology
         self.mapping = mapping
         self.reasoner = Reasoner(ontology, mapping)
         self.thesaurus = thesaurus or DEFAULT_THESAURUS
-        self.executor = Executor(database, use_planner=use_planner)
+        self.executor = Executor(database)
         #: per-query ExecutionStats of the most recent execute() call
         self.last_stats = None
         #: escape hatch: ``False`` forces brute-force evidence matching
@@ -128,11 +134,6 @@ class NLIDBContext:
         self.last_stats = self.executor.last_stats
         return result
 
-    def explain(self, interpretation: Interpretation) -> str:
-        """EXPLAIN-style plan description for an interpretation's SQL."""
-        stmt = interpretation.to_sql(self.ontology, self.mapping)
-        return self.executor.explain(stmt)
-
     def analyze(self, interpretation: Interpretation):
         """Static-analyzer verdict on an interpretation's compiled SQL.
 
@@ -147,9 +148,35 @@ class NLIDBContext:
             return None
         return self.executor.analysis_for(stmt)
 
+    def run_best(
+        self, system: "NLIDBSystem", interpretations: List[Interpretation]
+    ) -> Tuple[Interpretation, Relation]:
+        """Answer with the best statically valid candidate.
+
+        Candidates whose compiled SQL fails semantic analysis are pruned
+        and warned ones penalized (:func:`apply_static_analysis`); the
+        executor pre-flight would reject the pruned ones anyway, so a
+        lower-ranked but valid reading can still answer.  Returns the
+        executed candidate (its compiled statement cached on it) and its
+        result.  Raises :class:`~repro.core.errors.NoAnswer` when the
+        list is empty or nothing survives; compile and execution errors
+        propagate.
+        """
+        if not interpretations:
+            raise NoAnswer(system.name, "no interpretation")
+        candidates = apply_static_analysis(interpretations, self.analyze)
+        if not candidates:
+            raise NoAnswer(system.name, "no statically valid interpretation")
+        return candidates[0], self.execute(candidates[0])
+
 
 class NLIDBSystem(abc.ABC):
-    """Base class for every NLIDB system in the reproduction."""
+    """Base class for every NLIDB system in the reproduction.
+
+    A system implements only :meth:`interpret`; choosing and running the
+    best candidate is the context's :meth:`NLIDBContext.run_best`, shared
+    with the serving layer and ``repro ask``.
+    """
 
     #: short identifier used in benchmark tables
     name: str = "base"
@@ -165,21 +192,16 @@ class NLIDBSystem(abc.ABC):
         """
 
     def answer(self, question: str, context: NLIDBContext) -> Optional[Relation]:
-        """Interpret and execute the best *statically valid* candidate.
+        """Interpret ``question`` and run the best *statically valid*
+        candidate through :meth:`NLIDBContext.run_best`.
 
-        Candidates whose compiled SQL fails semantic analysis are pruned
-        before selection — the executor pre-flight would reject them
-        anyway, so a lower-ranked but valid reading can still answer.
-        Returns ``None`` when nothing survives or execution fails.
+        Returns ``None`` when the system abstains (no candidate, or none
+        survives static analysis) or the chosen one fails to compile or
+        execute.
         """
         interpretations = context.interpret(self, question)
-        if not interpretations:
-            return None
-        candidates = apply_static_analysis(interpretations, context.analyze)
-        if not candidates:
-            return None
         try:
-            return context.execute(candidates[0])
+            return context.run_best(self, interpretations)[1]
         except Exception:
             return None
 

@@ -83,7 +83,6 @@ WARNING_PENALTY = 0.9
 def apply_static_analysis(
     interpretations: Sequence[Interpretation],
     analyze: Callable[[Interpretation], Optional[AnalysisResult]],
-    warning_penalty: float = WARNING_PENALTY,
 ) -> List[Interpretation]:
     """Prune statically invalid candidates and penalize warned ones.
 
@@ -94,8 +93,9 @@ def apply_static_analysis(
     dropped outright: the executor pre-flight would reject them anyway,
     so spending rank on them only displaces viable readings.  Each
     *warning* (always-false comparison, ungrouped bare column, …)
-    multiplies confidence by ``warning_penalty`` — dubious readings sink
-    below clean ones of comparable evidence but stay available.
+    multiplies confidence by :data:`WARNING_PENALTY` — dubious readings
+    sink below clean ones of comparable evidence but stay available.
+    :meth:`repro.core.pipeline.NLIDBContext.run_best` is the one caller.
     """
     kept: List[Interpretation] = []
     for interpretation in interpretations:
@@ -104,6 +104,6 @@ def apply_static_analysis(
             if result.errors:
                 continue
             if result.warnings:
-                interpretation.confidence *= warning_penalty ** len(result.warnings)
+                interpretation.confidence *= WARNING_PENALTY ** len(result.warnings)
         kept.append(interpretation)
     return sorted(kept, key=lambda i: -i.confidence)

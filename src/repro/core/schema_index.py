@@ -68,11 +68,11 @@ preserving the tables → text columns → distinct values iteration order,
 so the best-candidate tie-break ("first in iteration order wins on
 equal score") is replayed identically.
 
-Versioning follows :class:`~repro.sqldb.index.MetadataIndex`: the
-lexicon rebuilds when ``Database.catalog_version`` moves, the value
-buckets when ``data_version`` moves, and both report build hit/miss
-counters through :func:`repro.perf.cache.stats_for` (a served lookup at
-an unchanged version is a hit; a version bump is a miss + rebuild).
+Versioning: the lexicon rebuilds when ``Database.catalog_version``
+moves, the value buckets when ``data_version`` moves, and both report
+build hit/miss counters through :func:`repro.perf.cache.stats_for` (a
+served lookup at an unchanged version is a hit; a version bump is a
+miss + rebuild).
 """
 
 from __future__ import annotations

@@ -20,9 +20,10 @@ wraps any registered system so a question always produces a typed
    system in ``degraded_from``.
 
 With no fault injector and a healthy primary, ``ask()`` returns exactly
-what ``system.answer(question, context)`` would: the attempt path
-mirrors :meth:`repro.core.pipeline.NLIDBSystem.answer` operation for
-operation (interpret → static-analysis pruning → execute best).
+what ``system.answer(question, context)`` would: an attempt interprets
+and then hands the candidates to the same
+:meth:`repro.core.pipeline.NLIDBContext.run_best` (static-analysis
+pruning → execute best) that ``NLIDBSystem.answer`` calls.
 
 For concurrent use (:mod:`repro.serve.concurrent`), ``ask()`` accepts a
 per-call injector (each request owns its fault RNG) and the breaker
@@ -39,8 +40,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.errors import NoAnswer
 from repro.core.pipeline import NLIDBContext, NLIDBSystem
-from repro.core.ranking import apply_static_analysis
 from repro.core.registry import create
 from repro.perf.profiler import stage_hook
 from repro.sqldb.relation import Relation
@@ -99,16 +100,6 @@ class RequestCancelled(Exception):
     def __init__(self, stage: str, reason: str):
         super().__init__(f"request cancelled entering stage {stage!r}: {reason}")
         self.stage = stage
-        self.reason = reason
-
-
-class NoAnswer(Exception):
-    """The system produced no interpretation (or none survived static
-    analysis).  Deterministic, so never retried — straight to fallback."""
-
-    def __init__(self, system: str, reason: str):
-        super().__init__(f"{system}: {reason}")
-        self.system = system
         self.reason = reason
 
 
@@ -183,6 +174,10 @@ class ServeResult:
 
 class ResilientService:
     """Serve NLQ answers with retries, breakers, and graceful degradation.
+
+    Each attempt answers through :meth:`NLIDBContext.run_best`, the path
+    ``NLIDBSystem.answer`` and ``repro ask`` take; an abstention arrives
+    as its :class:`~repro.core.errors.NoAnswer`.
 
     Parameters mirror the failure model:
 
@@ -393,12 +388,13 @@ class ResilientService:
         question: str,
         injector: FaultInjector,
     ) -> Tuple[Relation, Optional[str], Optional[str]]:
-        """One end-to-end attempt, mirroring ``NLIDBSystem.answer``.
+        """One end-to-end attempt through ``NLIDBContext.run_best``.
 
         The only differences from a direct ``answer()`` call are the
         bound stage hook (faults + deadline — inert when the plan is
-        empty and no timeout is set) and that failures raise instead
-        of collapsing to ``None``, so the caller can classify them.
+        empty and no timeout is set), the injector's chance to corrupt
+        the candidate list, and that failures raise instead of
+        collapsing to ``None``, so the caller can classify them.
         The hook nests inside any hook already bound, so the concurrent
         front's request deadline keeps firing first.
         """
@@ -415,22 +411,11 @@ class ResilientService:
         with stage_hook(hook):
             interpretations = self.context.interpret(system, question)
             interpretations = injector.maybe_corrupt(interpretations)
-            if not interpretations:
-                raise NoAnswer(name, "no interpretation")
-            candidates = apply_static_analysis(interpretations, self.context.analyze)
-            if not candidates:
-                raise NoAnswer(name, "no statically valid interpretation")
-            answer = self.context.execute(candidates[0])
-        sql: Optional[str] = None
+            top, answer = self.context.run_best(system, interpretations)
         explanation: Optional[str] = None
         try:
-            sql = candidates[0].to_sql(self.context.ontology, self.context.mapping).to_sql()
+            if top.oql is not None:
+                explanation = top.oql.to_english()
         except Exception:
             pass
-        try:
-            oql = getattr(candidates[0], "oql", None)
-            if oql is not None:
-                explanation = oql.to_english()
-        except Exception:
-            pass
-        return answer, sql, explanation
+        return answer, top.sql.to_sql(), explanation

@@ -7,8 +7,8 @@ typed catalog (:mod:`~repro.sqldb.schema`), row storage
 interpreting executor supporting joins, grouping, ordering and nested
 sub-queries (:mod:`~repro.sqldb.executor`), a cost-aware planner with
 hash joins, predicate pushdown, secondary-index scans and per-query
-execution statistics (:mod:`~repro.sqldb.planner`), and inverted indexes
-over metadata and data (:mod:`~repro.sqldb.index`).
+execution statistics (:mod:`~repro.sqldb.planner`), and an inverted
+index over text data values (:mod:`~repro.sqldb.index`).
 
 Quick example::
 
@@ -60,7 +60,7 @@ from .errors import (
     UnknownTableError,
 )
 from .executor import Executor, execute_sql
-from .index import DatabaseIndex, IndexEntry, MetadataIndex, ValueIndex, split_identifier
+from .index import IndexEntry, ValueIndex, split_identifier
 from .parser import parse_create_table, parse_expression, parse_select
 from .planner import ExecutionStats, JoinPlan, Planner, QueryPlan, ScanPlan
 from .relation import Relation
@@ -74,7 +74,7 @@ __all__ = [
     "SubqueryExpr", "TableRef", "UnaryOp",
     "Database", "Executor", "execute_sql", "Relation", "Table",
     "Column", "ForeignKey", "TableSchema", "DataType", "parse_date",
-    "DatabaseIndex", "IndexEntry", "MetadataIndex", "ValueIndex", "split_identifier",
+    "IndexEntry", "ValueIndex", "split_identifier",
     "parse_select", "parse_expression", "parse_create_table",
     "ExecutionStats", "Planner", "QueryPlan", "ScanPlan", "JoinPlan",
     "SqlError", "ParseError", "CatalogError", "SchemaError", "TypeMismatchError",

@@ -1,19 +1,16 @@
 """The Database: a named catalog of tables plus foreign-key metadata.
 
-Besides storage, the database exposes the two pieces of structural
-knowledge every NLIDB system in the survey leans on:
-
-- the *join graph* (tables as nodes, foreign keys as edges) used to infer
-  join paths between matched elements (NaLIR, ATHENA, TEMPLAR — §3), and
-- handles for building value/metadata inverted indexes
-  (:mod:`repro.sqldb.index`) used by keyword systems (SODA — §4.1).
+The foreign keys are the structural knowledge the ontology layer turns
+into relations (:mod:`repro.ontology.builder`), and join inference
+between matched elements is the ontology reasoner's job
+(:mod:`repro.ontology.reasoner`).  ``catalog_version`` and
+``data_version`` tell structures derived from the catalog or the data,
+such as the value index (:mod:`repro.sqldb.index`), when to rebuild.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from .errors import SchemaError, UnknownTableError
 from .schema import Column, ForeignKey, TableSchema
@@ -116,8 +113,8 @@ class Database:
         """Monotonic version covering catalog shape and row contents.
 
         Changes whenever a table is created or a row inserted; the
-        inverted indexes (:mod:`repro.sqldb.index`) and per-table
-        secondary indexes use it to detect staleness.
+        value index (:mod:`repro.sqldb.index`) and the columnar engine's
+        caches use it to detect staleness.
         """
         return self.catalog_version + sum(t.version for t in self._tables.values())
 
@@ -158,45 +155,6 @@ class Database:
         if self._default_executor is None:
             return None
         return self._default_executor.last_stats
-
-    # -- join graph -----------------------------------------------------------
-
-    def join_graph(self) -> nx.MultiGraph:
-        """Undirected multigraph of tables connected by foreign keys.
-
-        Edge data carries the :class:`~repro.sqldb.schema.ForeignKey`
-        under the key ``"fk"``.
-        """
-        graph = nx.MultiGraph()
-        graph.add_nodes_from(t.name for t in self.tables)
-        for fk in self.foreign_keys:
-            graph.add_edge(fk.src_table, fk.dst_table, fk=fk)
-        return graph
-
-    def join_path(self, start: str, goal: str) -> Optional[List[ForeignKey]]:
-        """Shortest foreign-key path between two tables.
-
-        Returns the list of FKs along the path oriented from ``start``
-        toward ``goal`` (each FK's ``src_table`` is the earlier table on
-        the path), or ``None`` when the tables are disconnected.
-        """
-        start_name = self.table(start).name
-        goal_name = self.table(goal).name
-        if start_name == goal_name:
-            return []
-        graph = self.join_graph()
-        try:
-            nodes = nx.shortest_path(graph, start_name, goal_name)
-        except nx.NetworkXNoPath:
-            return None
-        path: List[ForeignKey] = []
-        for a, b in zip(nodes, nodes[1:]):
-            edge_dict = graph.get_edge_data(a, b)
-            fk = next(iter(edge_dict.values()))["fk"]
-            if fk.src_table != a:
-                fk = fk.reversed()
-            path.append(fk)
-        return path
 
     # -- introspection ----------------------------------------------------------
 

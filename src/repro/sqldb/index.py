@@ -1,21 +1,23 @@
-"""Inverted indexes over database metadata and data values.
+"""Inverted index over data values.
 
 SODA-style keyword systems (§4.1 of the survey) interpret a query by
-looking each keyword up in two indexes: one over *metadata* (table and
-column names plus declared synonyms) and one over *data* (the values
-stored in text columns).  Both indexes are also reused by NaLIR-style
-node mapping and by the dialogue entity recognizer.
+looking each keyword up in metadata (table and column names plus
+declared synonyms) and in data (the values stored in text columns).
+Here metadata lookups go through the ontology-level schema index
+(:mod:`repro.core.schema_index`) or the annotator's brute-force scan;
+this module holds the data half, :class:`ValueIndex`, which the shared
+annotator and Précis-style keyword answering read.
 
-Index entries are :class:`IndexEntry` records that say what matched
-(``kind``), where (table/column), and how well (a score in ``(0, 1]``
-from exact vs. fuzzy matching).
+Index entries are :class:`IndexEntry` records that say which value
+matched, where (table/column), and how well (a score in ``(0, 1]``: a
+full value scores highest, a single word of it lowest).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, List
 
 from .database import Database
 
@@ -57,95 +59,16 @@ def split_identifier(name: str) -> List[str]:
 
 @dataclass(frozen=True)
 class IndexEntry:
-    """One index hit.
+    """One value-index hit: ``value`` found in ``table.column``."""
 
-    ``kind`` is ``"table"``, ``"column"`` or ``"value"``; for values,
-    ``value`` holds the matched datum.
-    """
-
-    kind: str
     table: str
-    column: Optional[str] = None
-    value: Any = None
+    column: str
+    value: Any
     score: float = 1.0
 
     def describe(self) -> str:
         """Human-readable form used in clarification dialogs."""
-        if self.kind == "table":
-            return f"table {self.table}"
-        if self.kind == "column":
-            return f"column {self.table}.{self.column}"
         return f"value {self.value!r} in {self.table}.{self.column}"
-
-
-class MetadataIndex:
-    """Inverted index over table/column names and their synonyms.
-
-    Rebuilds itself automatically when tables are added to the catalog
-    after construction (tracked via ``database.catalog_version``); call
-    :meth:`invalidate` to force a rebuild on next lookup.
-    """
-
-    def __init__(self, database: Database):
-        self.database = database
-        self._entries: Dict[str, List[IndexEntry]] = defaultdict(list)
-        self._built_version = database.catalog_version
-        self._dirty = False
-        self._build()
-
-    def invalidate(self) -> None:
-        """Mark the index stale; it rebuilds lazily on the next lookup."""
-        self._dirty = True
-
-    def refresh(self) -> None:
-        """Rebuild the index from the current catalog immediately."""
-        self._entries = defaultdict(list)
-        self._built_version = self.database.catalog_version
-        self._dirty = False
-        self._build()
-
-    def _maybe_rebuild(self) -> None:
-        if self._dirty or self.database.catalog_version != self._built_version:
-            self.refresh()
-
-    def _build(self) -> None:
-        for table in self.database.tables:
-            self._add_terms(
-                [table.name, *table.schema.synonyms],
-                IndexEntry("table", table.name),
-            )
-            for column in table.schema:
-                self._add_terms(
-                    [column.name, *column.synonyms],
-                    IndexEntry("column", table.name, column.name),
-                )
-
-    def _add_terms(self, names: Iterable[str], entry: IndexEntry) -> None:
-        for name in names:
-            tokens = split_identifier(name)
-            # Whole name (joined) and each word token index the entry;
-            # multi-word matches score higher at lookup time.
-            keys = {normalize_token(name), " ".join(tokens)}
-            keys.update(tokens)
-            for key in keys:
-                if key:
-                    self._entries[key].append(entry)
-
-    def lookup(self, term: str) -> List[IndexEntry]:
-        """Entries whose name or synonym contains ``term``."""
-        self._maybe_rebuild()
-        return list(self._entries.get(normalize_token(term), []))
-
-    def lookup_phrase(self, words: List[str]) -> List[IndexEntry]:
-        """Match a multi-word phrase (e.g. "order date") as a unit."""
-        self._maybe_rebuild()
-        return list(self._entries.get(" ".join(normalize_token(w) for w in words), []))
-
-    @property
-    def vocabulary(self) -> Set[str]:
-        """All indexed keys (used by tests and by paraphrase generation)."""
-        self._maybe_rebuild()
-        return set(self._entries)
 
 
 class ValueIndex:
@@ -153,37 +76,23 @@ class ValueIndex:
 
     Numeric and date values are *not* indexed — keyword systems match them
     via type heuristics at query time — but full text values and their
-    individual word tokens are.
+    individual word tokens are.  The index rebuilds itself on the first
+    lookup after ``database.data_version`` moves (a row insert or a new
+    table).
     """
 
     def __init__(self, database: Database, max_values_per_column: int = 100000):
         self.database = database
-        self._entries: Dict[str, List[IndexEntry]] = defaultdict(list)
         self._cap = max_values_per_column
-        self._built_version = database.data_version
-        self._dirty = False
-        self._build(max_values_per_column)
+        self._build()
 
-    def invalidate(self) -> None:
-        """Mark the index stale; it rebuilds lazily on the next lookup."""
-        self._dirty = True
-
-    def refresh(self) -> None:
-        """Rebuild the index from current table contents immediately."""
-        self._entries = defaultdict(list)
+    def _build(self) -> None:
+        self._entries: Dict[str, List[IndexEntry]] = defaultdict(list)
         self._built_version = self.database.data_version
-        self._dirty = False
-        self._build(self._cap)
-
-    def _maybe_rebuild(self) -> None:
-        if self._dirty or self.database.data_version != self._built_version:
-            self.refresh()
-
-    def _build(self, cap: int) -> None:
         for table in self.database.tables:
             for column in table.schema.text_columns():
-                for value in table.distinct_values(column.name)[:cap]:
-                    entry = IndexEntry("value", table.name, column.name, value)
+                for value in table.distinct_values(column.name)[: self._cap]:
+                    entry = IndexEntry(table.name, column.name, value)
                     full = normalize_token(value)
                     self._entries[full].append(entry)
                     # Punctuation-stripped key so tokenized questions can
@@ -191,49 +100,22 @@ class ValueIndex:
                     stripped = " ".join(_strip_punct(full).split())
                     if stripped and stripped != full:
                         self._entries[stripped].append(
-                            IndexEntry("value", table.name, column.name, value, score=0.95)
+                            IndexEntry(table.name, column.name, value, score=0.95)
                         )
                     words = stripped.split()
                     if len(words) > 1:
                         for word in words:
                             # Token hits score lower than full-value hits.
                             self._entries[word].append(
-                                IndexEntry("value", table.name, column.name, value, score=0.6)
+                                IndexEntry(table.name, column.name, value, score=0.6)
                             )
 
     def lookup(self, term: str) -> List[IndexEntry]:
         """Entries whose value (or a word of it) equals ``term``."""
-        self._maybe_rebuild()
+        if self.database.data_version != self._built_version:
+            self._build()
         return list(self._entries.get(normalize_token(term), []))
 
     def lookup_phrase(self, words: List[str]) -> List[IndexEntry]:
         """Match a multi-word phrase against full values."""
         return self.lookup(" ".join(words))
-
-    @property
-    def vocabulary(self) -> Set[str]:
-        """All indexed value keys."""
-        self._maybe_rebuild()
-        return set(self._entries)
-
-
-class DatabaseIndex:
-    """Bundle of the two indexes, built once per database."""
-
-    def __init__(self, database: Database):
-        self.database = database
-        self.metadata = MetadataIndex(database)
-        self.values = ValueIndex(database)
-
-    def invalidate(self) -> None:
-        """Mark both indexes stale; they rebuild lazily on next lookup."""
-        self.metadata.invalidate()
-        self.values.invalidate()
-
-    def lookup(self, term: str) -> List[IndexEntry]:
-        """Union of metadata and value hits for one term."""
-        return self.metadata.lookup(term) + self.values.lookup(term)
-
-    def lookup_phrase(self, words: List[str]) -> List[IndexEntry]:
-        """Union of metadata and value hits for a phrase."""
-        return self.metadata.lookup_phrase(words) + self.values.lookup_phrase(words)

@@ -2,8 +2,8 @@
 
 A :class:`TableSchema` is a named, ordered collection of :class:`Column`
 definitions; :class:`ForeignKey` links a column of one table to a column
-of another and drives join-path inference both inside the engine and in
-the ontology layer (:mod:`repro.ontology.builder`).
+of another, and the ontology layer (:mod:`repro.ontology.builder`) turns
+the foreign keys into the relations its reasoner infers join paths over.
 """
 
 from __future__ import annotations

@@ -322,7 +322,7 @@ class EntityAnnotator:
         context: NLIDBContext,
     ) -> List[EvidenceAnnotation]:
         out: List[EvidenceAnnotation] = []
-        hits = context.index.values.lookup_phrase(words)
+        hits = context.value_index.lookup_phrase(words)
         for entry in hits:
             ref = self._ref_for(entry.table, entry.column, context)
             if ref is None:
@@ -416,7 +416,7 @@ class EntityAnnotator:
                 if is_stopword(phrase):
                     continue
                 for proposal in self.relaxer.relax(phrase):
-                    hits = context.index.values.lookup(proposal.term)
+                    hits = context.value_index.lookup(proposal.term)
                     for entry in hits:
                         ref = self._ref_for(entry.table, entry.column, context)
                         if ref is None:

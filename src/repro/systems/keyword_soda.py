@@ -7,8 +7,11 @@ queries but cannot detect other clauses like GROUP BY and ORDER BY."
 
 Faithful ingredients:
 
-- each keyword is looked up in a *metadata index* and a *data index*
-  (here :class:`~repro.sqldb.index.DatabaseIndex` through the annotator),
+- each keyword is looked up in metadata and in data through the
+  annotator: metadata through the schema index
+  (:class:`~repro.core.schema_index.SchemaIndex`, or the brute-force
+  scan when it is off), data through the value index
+  (:class:`~repro.sqldb.index.ValueIndex`),
 - multiple interpretations are produced and "ranked based on an
   aggregation of the scores associated with each lookup result",
 - interpretations are extended through the ontology's inheritance

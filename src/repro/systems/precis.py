@@ -156,7 +156,7 @@ class PrecisSystem:
 
     def _rows_with(self, keyword: str, context: NLIDBContext) -> Set[Tuple[str, int]]:
         out: Set[Tuple[str, int]] = set()
-        hits = context.index.values.lookup(keyword)
+        hits = context.value_index.lookup(keyword)
         for entry in hits:
             table = context.database.table(entry.table)
             column_index = table.schema.column_index(entry.column)

@@ -3,7 +3,34 @@
 
 import pytest
 
+from repro.bench.domains import build_domain
 from repro.cli import main
+from repro.core import Interpretation, NLIDBContext, NLIDBSystem
+from repro.core import registry
+from repro.serve import ResilientService
+from repro.sqldb import parse_select
+
+#: a candidate the static analyzer rejects (SQL211) and a valid one
+#: below it: the library and the server answer with the second
+INVALID_TOP = ("SELECT name, bogus FROM customers", 0.9)
+VALID_BELOW = ("SELECT COUNT(*) FROM customers", 0.5)
+
+
+class StubSystem(NLIDBSystem):
+    """Returns fixed candidates, whatever the question."""
+
+    name = "stub"
+    candidates = (INVALID_TOP, VALID_BELOW)
+
+    def interpret(self, question, context):
+        return [
+            Interpretation(self.name, confidence, sql=parse_select(sql))
+            for sql, confidence in self.candidates
+        ]
+
+
+class InvalidOnlyStub(StubSystem):
+    candidates = (INVALID_TOP,)
 
 
 class TestAsk:
@@ -44,6 +71,40 @@ class TestAsk:
         main(["ask", "show the customers with city Berlin", "--domain", "retail", "--rows", "1"])
         out = capsys.readouterr().out
         assert "more rows" in out or out.count("\n") < 12
+
+
+class TestAskAnswersLikeLibraryAndServer:
+    """``repro ask`` prunes candidates the way ``NLIDBSystem.answer`` and
+    ``ResilientService`` do, because all three call ``run_best``."""
+
+    QUESTION = "how many customers"
+
+    def _ask(self, monkeypatch, capsys, stub):
+        monkeypatch.setitem(registry._FACTORIES, "stub", stub)
+        code = main(["ask", self.QUESTION, "--system", "stub", "--domain", "retail"])
+        return code, capsys.readouterr().out
+
+    def test_pruned_top_candidate_answers_with_the_valid_one(self, monkeypatch, capsys):
+        code, out = self._ask(monkeypatch, capsys, StubSystem)
+        assert code == 0
+        assert "SQL: SELECT COUNT(*) FROM customers" in out
+        assert "40" in out
+        context = NLIDBContext(build_domain("retail", seed=0))
+        direct = StubSystem().answer(self.QUESTION, context)
+        assert direct.rows == [(40,)]
+        served = ResilientService(context, fallback_chain=("stub",)).ask(self.QUESTION)
+        assert served.ok and served.sql == "SELECT COUNT(*) FROM customers"
+        assert served.answer.rows == direct.rows
+
+    def test_nothing_statically_valid_abstains_with_the_reason(self, monkeypatch, capsys):
+        code, out = self._ask(monkeypatch, capsys, InvalidOnlyStub)
+        assert code == 1
+        assert "no statically valid interpretation" in out and "abstained" in out
+        context = NLIDBContext(build_domain("retail", seed=0))
+        assert InvalidOnlyStub().answer(self.QUESTION, context) is None
+        served = ResilientService(context, fallback_chain=("stub",)).ask(self.QUESTION)
+        assert not served.ok
+        assert served.degraded_from == [("stub", "no statically valid interpretation")]
 
 
 class TestComplete:

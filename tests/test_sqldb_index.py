@@ -1,13 +1,11 @@
-"""Unit tests for the inverted metadata/value indexes."""
+"""Unit tests for the inverted value index."""
 
 import pytest
 
 from repro.sqldb import (
     Column,
     Database,
-    DatabaseIndex,
     DataType,
-    MetadataIndex,
     TableSchema,
     ValueIndex,
     split_identifier,
@@ -56,34 +54,6 @@ class TestSplitIdentifier:
         assert split_identifier(identifier) == expected
 
 
-class TestMetadataIndex:
-    def test_table_name_lookup(self, indexed_db):
-        index = MetadataIndex(indexed_db)
-        hits = index.lookup("orders")
-        assert any(h.kind == "table" for h in hits)
-
-    def test_table_synonym_lookup(self, indexed_db):
-        index = MetadataIndex(indexed_db)
-        assert any(h.kind == "table" for h in index.lookup("purchase"))
-
-    def test_column_word_lookup(self, indexed_db):
-        index = MetadataIndex(indexed_db)
-        hits = index.lookup("date")
-        assert any(h.kind == "column" and h.column == "order_date" for h in hits)
-
-    def test_column_phrase_lookup(self, indexed_db):
-        index = MetadataIndex(indexed_db)
-        hits = index.lookup_phrase(["order", "date"])
-        assert any(h.column == "order_date" for h in hits)
-
-    def test_column_synonym(self, indexed_db):
-        index = MetadataIndex(indexed_db)
-        assert any(h.column == "customerName" for h in index.lookup("buyer"))
-
-    def test_miss(self, indexed_db):
-        assert MetadataIndex(indexed_db).lookup("zebra") == []
-
-
 class TestValueIndex:
     def test_full_value_lookup(self, indexed_db):
         index = ValueIndex(indexed_db)
@@ -107,14 +77,3 @@ class TestValueIndex:
         entry = ValueIndex(indexed_db).lookup("ada lovelace")[0]
         assert "Ada Lovelace" in entry.describe()
 
-
-class TestDatabaseIndex:
-    def test_union_lookup(self, indexed_db):
-        index = DatabaseIndex(indexed_db)
-        hits = index.lookup("orders")
-        kinds = {h.kind for h in hits}
-        assert "table" in kinds
-
-    def test_phrase_union(self, indexed_db):
-        index = DatabaseIndex(indexed_db)
-        assert index.lookup_phrase(["ada", "lovelace"])

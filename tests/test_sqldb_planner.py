@@ -15,7 +15,6 @@ from repro.sqldb import (
     DataType,
     Executor,
     Literal,
-    MetadataIndex,
     Planner,
     SelectItem,
     SelectStatement,
@@ -464,7 +463,7 @@ class TestHashable:
 
 
 # ---------------------------------------------------------------------------
-# Inverted-index invalidation (MetadataIndex / ValueIndex)
+# Inverted-index invalidation (ValueIndex)
 # ---------------------------------------------------------------------------
 
 
@@ -475,19 +474,6 @@ class TestInvertedIndexInvalidation:
         emp_db.insert("emp", [42, "Zanzibar", 1, 77.0, "2024-04-04"])
         hits = index.lookup("zanzibar")
         assert hits and hits[0].value == "Zanzibar"
-
-    def test_metadata_index_sees_new_tables(self, emp_db):
-        index = MetadataIndex(emp_db)
-        assert index.lookup("gadgets") == []
-        emp_db.create_table(
-            TableSchema("gadgets", [Column("id", DataType.INTEGER)])
-        )
-        assert any(h.kind == "table" for h in index.lookup("gadgets"))
-
-    def test_explicit_invalidate(self, emp_db):
-        index = ValueIndex(emp_db)
-        index.invalidate()
-        assert any(h.value == "Ada" for h in index.lookup("ada"))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +490,3 @@ class TestEscapeHatch:
         )
         assert result.rows[0] == ("Ada", "Engineering")
         assert naive.last_stats.hash_joins == 0
-
-    def test_context_use_planner_flag(self, emp_db):
-        context = NLIDBContext(emp_db, use_planner=False)
-        assert context.executor.use_planner is False

@@ -117,24 +117,6 @@ class TestDatabase:
         with pytest.raises(UnknownColumnError):
             emp_db.add_foreign_key("emp", "missing", "dept", "id")
 
-    def test_join_path_direct(self, emp_db):
-        path = emp_db.join_path("emp", "dept")
-        assert len(path) == 1
-        assert (path[0].src_table, path[0].dst_table) == ("emp", "dept")
-
-    def test_join_path_oriented_from_start(self, shop_db):
-        path = shop_db.join_path("customers", "products")
-        assert [fk.src_table for fk in path] == ["customers", "orders", "order_items"]
-
-    def test_join_path_same_table(self, emp_db):
-        assert emp_db.join_path("emp", "emp") == []
-
-    def test_join_path_disconnected(self):
-        db = Database()
-        db.create_table(TableSchema("a", [Column("x", DataType.INTEGER)]))
-        db.create_table(TableSchema("b", [Column("y", DataType.INTEGER)]))
-        assert db.join_path("a", "b") is None
-
     def test_find_column_across_tables(self, emp_db):
         hits = emp_db.find_column("id")
         assert {t for t, _ in hits} == {"emp", "dept"}
