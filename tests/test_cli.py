@@ -5,8 +5,7 @@ import pytest
 
 from repro.bench.domains import build_domain
 from repro.cli import main
-from repro.core import Interpretation, NLIDBContext, NLIDBSystem
-from repro.core import registry
+from repro.core import Interpretation, NLIDBContext, NLIDBSystem, registry
 from repro.serve import ResilientService
 from repro.sqldb import parse_select
 

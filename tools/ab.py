@@ -63,8 +63,8 @@ BUILD = ROOT / ".bench_build" / "ab"
 SHARED = ("perfbench", "tools", "BENCHMARK.json")
 SIDES = ("parent", "change")
 FIRST_SEED = 101
-#: better-direction of perfbench result-line fields BENCHMARK.json omits
-RESULT_FIELDS = {"attempted": "higher", "failed": "lower", "failed_share": "lower"}
+#: the one perfbench result-line field BENCHMARK.json omits where higher is better
+HIGHER_IS_BETTER = {"attempted"}
 
 Run = Dict[str, Dict[str, Any]]  # side -> flattened output of one pair
 
@@ -160,7 +160,7 @@ def summarize(runs: Sequence[Run], spec: Dict[str, Dict[str, Any]]) -> Dict[str,
         if not numeric:
             continue
         entry = spec.get(name, {})
-        better = entry.get("better") or RESULT_FIELDS.get(name, "lower")
+        better = entry.get("better") or ("higher" if name in HIGHER_IS_BETTER else "lower")
         bound = entry.get("bound")
         values = {side: [float(run[side][name]) for run in runs] for side in SIDES}
         sign = 1.0 if better == "lower" else -1.0
@@ -182,8 +182,11 @@ def summarize(runs: Sequence[Run], spec: Dict[str, Dict[str, Any]]) -> Dict[str,
 def table(summary: Dict[str, Dict[str, Any]], pairs: int) -> str:
     """The summary as one fixed-width table."""
 
+    def num(value: float) -> str:
+        return f"{value:.0f}" if float(value).is_integer() else f"{value:.4g}"
+
     def cell(side: Dict[str, float]) -> str:
-        return f"{side['median']:.4g} ({side['q1']:.4g}–{side['q3']:.4g})"
+        return f"{num(side['median'])} ({num(side['q1'])}–{num(side['q3'])})"
 
     header = ("field", "better", "parent median (Q1–Q3)", "change median (Q1–Q3)",
               "change", f"won/{pairs}", "bound", "verdict")
