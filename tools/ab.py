@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python tools/ab.py PARENT CHANGE --workload nlq_widecat [--seconds 26] [--pairs 10]
+    python tools/ab.py PARENT CHANGE --workload nlq_widecat [--pairs 10]
     PYTHONHASHSEED=0 python tools/ab.py PARENT CHANGE --cmd "tools/widecat_digest.py 600"
 
 Both commits are exported with ``git archive`` under ``.bench_build/ab/``
@@ -14,8 +14,8 @@ which side runs first (the parent in the first pair).  One pair runs, in
 each export:
 
 - ``--workload W``: ``perfbench/run.py --workload W --seed S --seconds T``
-  with seed S = 101 + the pair's index from 0 and T = ``--seconds``
-  (default ``BENCHMARK.json``'s ``run_seconds``);
+  with seed S = 101 + the pair's index from 0 and T = ``BENCHMARK.json``'s
+  ``run_seconds``, the run length the benchmark sets;
 - ``--cmd "ARGS"``: any command whose last line of output is one JSON
   object; a first word ending in ``.py`` runs under this interpreter.
 
@@ -25,16 +25,24 @@ objects merge their fields (perfbench's ``metrics``).  Where the output
 has ``attempted`` and ``failed``, ``failed_share`` is their ratio.
 
 For every numeric field the table gives each side's median with its
-quartiles (Q1–Q3) and the pairs the change won, ties counting for
-neither.  Better is ``BENCHMARK.json``'s ``better`` for the metrics it
-lists, higher for ``attempted``, and lower for any other field.  Each
-end-to-end metric of ``BENCHMARK.json`` also gets a verdict against its
-bound, relative to the parent's median: ``better``, ``worse``,
-``within``, or ``unresolved`` when the parent's IQR/median exceeds the
-bound (``better`` all the same if every run of the change beat every
-run of the parent).  Non-numeric fields (digests, ``correct``) must be
-equal on both sides of every pair: otherwise the tool names the first
-pair and field that differ and exits 1.
+quartiles (Q1–Q3).  For a field whose better direction is known (the
+metrics ``BENCHMARK.json`` lists, and perfbench's ``attempted``,
+``failed`` and ``failed_share``) it also counts the pairs the change
+won, ties counting for neither.  Each end-to-end metric of
+``BENCHMARK.json`` gets a verdict:
+
+- ``better``: a gain: at least ten pairs ran, the change won at least
+  nine tenths of them, and its median is better than the parent's by
+  more than the parent's IQR (Q3 − Q1);
+- ``unresolved``: no gain, and the parent's IQR/median exceeds the
+  bound, unless every run of the change beat every run of the parent
+  (then ``within``);
+- ``worse`` or ``within``: the change's median is or is not worse than
+  the parent's by more than the bound, relative to the parent's median.
+
+Non-numeric fields (digests, ``correct``) must be equal on both sides
+of every pair: otherwise the tool names the first pair and field that
+differ and exits 1.
 
 The tool prints one table and writes one JSON record: every run's
 flattened output and the summary (``--out``, default
@@ -63,8 +71,10 @@ BUILD = ROOT / ".bench_build" / "ab"
 SHARED = ("perfbench", "tools", "BENCHMARK.json")
 SIDES = ("parent", "change")
 FIRST_SEED = 101
-#: the one perfbench result-line field BENCHMARK.json omits where higher is better
-HIGHER_IS_BETTER = {"attempted"}
+#: the fewest pairs a gain can rest on
+GAIN_PAIRS = 10
+#: better directions of perfbench's result-line counts (and failed_share) that BENCHMARK.json omits
+DIRECTIONS = {"attempted": "higher", "failed": "lower", "failed_share": "lower"}
 
 Run = Dict[str, Dict[str, Any]]  # side -> flattened output of one pair
 
@@ -116,18 +126,28 @@ def _relative(delta: float, base: float) -> float:
     return 0.0 if delta == 0 else math.copysign(math.inf, delta)
 
 
+def wins(parent: Sequence[float], change: Sequence[float], better: str) -> Tuple[int, int]:
+    """Pairs the change won and lost, ties counting for neither."""
+    sign = 1.0 if better == "lower" else -1.0
+    pairs = list(zip(parent, change))
+    return (sum(sign * c < sign * p for p, c in pairs),
+            sum(sign * c > sign * p for p, c in pairs))
+
+
 def verdict(parent: Sequence[float], change: Sequence[float], better: str, bound: float) -> str:
-    """The change's median against the parent's, within ``bound`` of it."""
+    """``better`` by the gain rule, else the change's median against the
+    parent's, within ``bound`` of it (see the module docstring)."""
     q1, median, q3 = quartiles(parent)
     sign = 1.0 if better == "lower" else -1.0
-    if _relative(q3 - q1, median) > bound:
-        all_better = max(change) < min(parent) if better == "lower" else min(change) > max(parent)
-        return "better" if all_better else "unresolved"
-    worse_by = sign * _relative(statistics.median(change) - median, median)
-    if worse_by > bound:
-        return "worse"
-    if worse_by < -bound:
+    gain = sign * (median - statistics.median(change))
+    pairs = len(parent)
+    if pairs >= GAIN_PAIRS and wins(parent, change, better)[0] >= 0.9 * pairs and gain > q3 - q1:
         return "better"
+    if _relative(q3 - q1, median) > bound:
+        every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
+        return "within" if every_run_better else "unresolved"
+    if _relative(-gain, median) > bound:
+        return "worse"
     return "within"
 
 
@@ -153,24 +173,24 @@ def _fields(runs: Sequence[Run]) -> Dict[str, bool]:
 
 
 def summarize(runs: Sequence[Run], spec: Dict[str, Dict[str, Any]]) -> Dict[str, Dict[str, Any]]:
-    """Per numeric field: both sides' quartiles, wins and losses of the
-    change, and for a bounded metric its verdict."""
+    """Per numeric field: both sides' quartiles and, where the better
+    direction is known, wins and losses of the change, and for a bounded
+    metric its verdict."""
     out: Dict[str, Dict[str, Any]] = {}
     for name, numeric in _fields(runs).items():
         if not numeric:
             continue
         entry = spec.get(name, {})
-        better = entry.get("better") or ("higher" if name in HIGHER_IS_BETTER else "lower")
+        better = entry.get("better") or DIRECTIONS.get(name)
         bound = entry.get("bound")
         values = {side: [float(run[side][name]) for run in runs] for side in SIDES}
-        sign = 1.0 if better == "lower" else -1.0
-        pairs = list(zip(values["parent"], values["change"]))
         row: Dict[str, Any] = {"better": better}
         for side in SIDES:
             q1, median, q3 = quartiles(values[side])
             row[side] = {"median": median, "q1": q1, "q3": q3}
-        row["won"] = sum(sign * c < sign * p for p, c in pairs)
-        row["lost"] = sum(sign * c > sign * p for p, c in pairs)
+        row["won"], row["lost"] = (
+            (None, None) if better is None else wins(values["parent"], values["change"], better)
+        )
         row["bound"] = bound
         row["verdict"] = (
             None if bound is None else verdict(values["parent"], values["change"], better, bound)
@@ -195,9 +215,10 @@ def table(summary: Dict[str, Dict[str, Any]], pairs: int) -> str:
         parent, change = row["parent"]["median"], row["change"]["median"]
         rel = _relative(change - parent, parent)
         rows.append((
-            name, row["better"], cell(row["parent"]), cell(row["change"]),
+            name, row["better"] or "", cell(row["parent"]), cell(row["change"]),
             f"{100 * rel:+.1f}%" if math.isfinite(rel) else "n/a",
-            str(row["won"]), "" if row["bound"] is None else f"{row['bound']:g}",
+            "" if row["won"] is None else str(row["won"]),
+            "" if row["bound"] is None else f"{row['bound']:g}",
             row["verdict"] or "",
         ))
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
@@ -267,8 +288,6 @@ def _parser() -> argparse.ArgumentParser:
     what = parser.add_mutually_exclusive_group(required=True)
     what.add_argument("--workload", help="a perfbench workload")
     what.add_argument("--cmd", help="a command whose last output line is one JSON object")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="perfbench measuring time (default: run_seconds)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, default=None, help="where the JSON record goes")
     return parser
@@ -290,9 +309,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     benchmark = exports["change"] / "BENCHMARK.json"
     spec = load_spec(benchmark) if benchmark.is_file() else {}
     if args.workload:
-        seconds = args.seconds
-        if seconds is None:
-            seconds = json.loads(benchmark.read_text(encoding="utf-8"))["run_seconds"]
+        seconds = json.loads(benchmark.read_text(encoding="utf-8"))["run_seconds"]
         mode: Dict[str, Any] = {"workload": args.workload, "seconds": seconds,
                                 "seeds": [FIRST_SEED + i for i in range(args.pairs)]}
         label = f"workload {args.workload}, {seconds:g} s, seeds {mode['seeds'][0]}–{mode['seeds'][-1]}"
