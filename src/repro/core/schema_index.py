@@ -78,7 +78,7 @@ miss + rebuild).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.nlp.lemmatizer import lemmatize
 from repro.nlp.similarity import trigrams
@@ -389,7 +389,7 @@ class SchemaIndex:
                         {column.name.lower()},
                     )
 
-    def _add_target(self, kind: str, element: Any, forms: Set[str]) -> None:
+    def _add_target(self, kind: str, element: Any, forms: FrozenSet[str]) -> None:
         ordinal = len(self._targets)
         self._targets.append((kind, element))
         for form in forms:

@@ -11,7 +11,7 @@ systems easy to enrich with domain knowledge (§4.1 of the survey).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -22,8 +22,25 @@ class OntologyError(Exception):
     """Raised for inconsistent ontology definitions or unknown elements."""
 
 
+class _Named:
+    """The surface forms shared by every ontology element: its name and
+    synonyms, lower-cased.  Elements are not renamed once built, so the
+    set is computed on first use and kept."""
+
+    name: str
+    synonyms: Tuple[str, ...]
+
+    def surface_forms(self) -> FrozenSet[str]:
+        """All names this element answers to (lower-cased)."""
+        forms = self.__dict__.get("_surface_forms")
+        if forms is None:
+            forms = frozenset((self.name.lower(), *(s.lower() for s in self.synonyms)))
+            self.__dict__["_surface_forms"] = forms
+        return forms
+
+
 @dataclass
-class DataProperty:
+class DataProperty(_Named):
     """An attribute of a concept (maps to a table column)."""
 
     name: str
@@ -31,13 +48,9 @@ class DataProperty:
     dtype: DataType
     synonyms: Tuple[str, ...] = ()
 
-    def surface_forms(self) -> Set[str]:
-        """All names this property answers to (lower-cased)."""
-        return {self.name.lower(), *(s.lower() for s in self.synonyms)}
-
 
 @dataclass
-class Relation:
+class Relation(_Named):
     """A named, directed relation between two concepts."""
 
     name: str
@@ -46,23 +59,15 @@ class Relation:
     synonyms: Tuple[str, ...] = ()
     functional: bool = False  # src has at most one dst (N:1)
 
-    def surface_forms(self) -> Set[str]:
-        """All names this relation answers to (lower-cased)."""
-        return {self.name.lower(), *(s.lower() for s in self.synonyms)}
-
 
 @dataclass
-class Concept:
+class Concept(_Named):
     """An entity type with attributes and an optional parent concept."""
 
     name: str
     synonyms: Tuple[str, ...] = ()
     parent: Optional[str] = None
     properties: Dict[str, DataProperty] = field(default_factory=dict)
-
-    def surface_forms(self) -> Set[str]:
-        """All names this concept answers to (lower-cased)."""
-        return {self.name.lower(), *(s.lower() for s in self.synonyms)}
 
     def property(self, name: str) -> DataProperty:
         """Look up one data property (case-insensitive)."""
@@ -79,6 +84,10 @@ class Ontology:
         self.name = name
         self.concepts: Dict[str, Concept] = {}
         self.relations: List[Relation] = []
+        #: bumped by every mutation that changes the relation graph
+        #: (``add_concept``, ``add_relation``); :meth:`graph` keys on it
+        self.version = 0
+        self._graphs: Optional[Tuple[int, nx.MultiGraph, nx.Graph]] = None
 
     # -- construction -----------------------------------------------------------
 
@@ -96,6 +105,7 @@ class Ontology:
             raise OntologyError(f"parent concept {parent!r} not defined")
         concept = Concept(name, tuple(synonyms), parent)
         self.concepts[key] = concept
+        self.version += 1
         return concept
 
     def add_property(
@@ -124,6 +134,7 @@ class Ontology:
             name, self.concept(src).name, self.concept(dst).name, tuple(synonyms), functional
         )
         self.relations.append(relation)
+        self.version += 1
         return relation
 
     # -- lookup ---------------------------------------------------------------
@@ -197,18 +208,33 @@ class Ontology:
     # -- graph ---------------------------------------------------------------
 
     def graph(self) -> nx.MultiGraph:
-        """Undirected relation graph over concepts (for path search)."""
-        graph = nx.MultiGraph()
-        graph.add_nodes_from(c.name for c in self.concepts.values())
-        for relation in self.relations:
-            graph.add_edge(relation.src, relation.dst, relation=relation)
-        # inheritance edges connect children to parents with zero cost
-        for concept in self.concepts.values():
-            if concept.parent:
-                graph.add_edge(
-                    concept.name, self.concept(concept.parent).name, relation=None
-                )
-        return graph
+        """Undirected relation graph over concepts (for path search).
+
+        One frozen graph per ontology :attr:`version`, shared by every
+        caller: built on first use and rebuilt on the first call after
+        ``add_concept`` or ``add_relation``."""
+        if self._graphs is None or self._graphs[0] != self.version:
+            graph = nx.MultiGraph()
+            graph.add_nodes_from(c.name for c in self.concepts.values())
+            for relation in self.relations:
+                graph.add_edge(relation.src, relation.dst, relation=relation)
+            # inheritance edges connect children to parents with zero cost
+            for concept in self.concepts.values():
+                if concept.parent:
+                    graph.add_edge(
+                        concept.name, self.concept(concept.parent).name, relation=None
+                    )
+            simple = nx.Graph()
+            simple.add_nodes_from(graph.nodes)
+            simple.add_edges_from(graph.edges())
+            self._graphs = (self.version, nx.freeze(graph), nx.freeze(simple))
+        return self._graphs[1]
+
+    def simple_graph(self) -> nx.Graph:
+        """:meth:`graph` with parallel edges collapsed (what
+        ``steiner_tree`` takes), frozen and rebuilt alongside it."""
+        self.graph()
+        return self._graphs[2]
 
     def vocabulary(self) -> Set[str]:
         """Every surface form the ontology knows about."""

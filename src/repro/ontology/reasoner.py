@@ -6,6 +6,11 @@ For two concepts this is a shortest path over the relation graph; for
 three or more it is a Steiner tree (computed with networkx's
 approximation), whose edges translate — through the ontology mapping —
 into the SQL join chain.
+
+The relation graph is the ontology's own (:meth:`Ontology.graph`): one
+frozen graph per ontology version, shared by every reasoner and read on
+each call, so a reasoner costs nothing to make and sees relations added
+after it was made.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ class Reasoner:
     def __init__(self, ontology: Ontology, mapping: Optional[OntologyMapping] = None):
         self.ontology = ontology
         self.mapping = mapping
-        self._graph = ontology.graph()
 
     def connected(self, concept_a: str, concept_b: str) -> bool:
         """Whether two concepts are connected by any relation path."""
@@ -35,7 +39,7 @@ class Reasoner:
         b = self.ontology.concept(concept_b).name
         if a == b:
             return True
-        return nx.has_path(self._graph, a, b)
+        return nx.has_path(self.ontology.graph(), a, b)
 
     def relation_path(self, src: str, dst: str) -> List[Relation]:
         """Relations along the shortest path ``src`` → ``dst``.
@@ -48,7 +52,7 @@ class Reasoner:
         if a == b:
             return []
         try:
-            nodes = nx.shortest_path(self._graph, a, b)
+            nodes = nx.shortest_path(self.ontology.graph(), a, b)
         except nx.NetworkXNoPath:
             raise OntologyError(f"concepts {src!r} and {dst!r} are not connected") from None
         return self._edges_to_relations(nodes)
@@ -64,15 +68,8 @@ class Reasoner:
         names = sorted({self.ontology.concept(c).name for c in concepts})
         if len(names) <= 1:
             return names
-        # steiner_tree requires a Graph (not MultiGraph) — collapse edges.
-        simple = nx.Graph()
-        simple.add_nodes_from(self._graph.nodes)
-        for u, v in self._graph.edges():
-            simple.add_edge(u, v)
-        for name in names:
-            if name not in simple:
-                raise OntologyError(f"unknown concept {name!r}")
-        tree = nx_approx.steiner_tree(simple, names)
+        # steiner_tree requires a Graph (not MultiGraph): edges collapsed.
+        tree = nx_approx.steiner_tree(self.ontology.simple_graph(), names)
         nodes = sorted(tree.nodes) if tree.number_of_nodes() else names
         return nodes
 
@@ -87,7 +84,7 @@ class Reasoner:
             return []
         # Build the induced subgraph and walk it BFS from the first
         # mentioned concept for a deterministic join order.
-        sub = self._graph.subgraph(nodes)
+        sub = self.ontology.graph().subgraph(nodes)
         root = self.ontology.concept(concepts[0]).name
         if root not in sub:
             root = nodes[0]
@@ -117,7 +114,7 @@ class Reasoner:
         if a == b:
             return []
         try:
-            nodes = nx.shortest_path(self._graph, a, b)
+            nodes = nx.shortest_path(self.ontology.graph(), a, b)
         except nx.NetworkXNoPath:
             raise OntologyError(f"concepts {src!r} and {dst!r} are not connected") from None
         return [
@@ -147,7 +144,7 @@ class Reasoner:
         b = self.ontology.concept(dst).name
         if a == b:
             return []
-        nodes = nx.shortest_path(self._graph, a, b)
+        nodes = nx.shortest_path(self.ontology.graph(), a, b)
         chain: List[ForeignKey] = []
         for u, v in zip(nodes, nodes[1:]):
             relation = self._pick_relation(u, v)
@@ -169,7 +166,7 @@ class Reasoner:
 
     def _pick_relation(self, u: str, v: str) -> Optional[Relation]:
         """Deterministically choose one relation between two concepts."""
-        data = self._graph.get_edge_data(u, v)
+        data = self.ontology.graph().get_edge_data(u, v)
         if not data:
             return None
         relations = [d["relation"] for d in data.values() if d.get("relation")]

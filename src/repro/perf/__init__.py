@@ -15,7 +15,6 @@ from .cache import (
     all_cache_stats,
     memoize,
     normalize_question,
-    reset_cache_stats,
     stats_for,
 )
 from .profiler import (
@@ -35,7 +34,6 @@ __all__ = [
     "all_cache_stats",
     "memoize",
     "normalize_question",
-    "reset_cache_stats",
     "stats_for",
     "STAGE_ORDER",
     "StageProfiler",

@@ -14,13 +14,14 @@ a stale entry can never be served, it simply stops being reachable.
 
 Three layers share one bookkeeping vocabulary (:class:`CacheStats`):
 
-- :func:`memoize` — bounded LRU memoization for pure NLP primitives
-  (lemmatizer, string similarity); per-instance caches (embeddings,
+- :func:`memoize` — ``functools.lru_cache`` memoization for pure NLP
+  primitives (lemmatizer, string similarity), whose hits and misses the
+  registry reads from ``cache_info()``; per-instance caches (embeddings,
   thesaurus similarity) report into the same registry via
   :func:`stats_for`.
 - :class:`InterpretationCache` — normalized NLQ + system + data version
-  → ranked interpretation list, wired into ``NLIDBSystem.answer`` and
-  the benchmark harness.
+  → ranked interpretation list, read by the benchmark harness (the
+  answer path does not cache interpretations).
 - :class:`EvaluationCache` — the harness-side bundle: interpretations
   plus gold-result, match-verdict and static-analysis memos.
 
@@ -137,6 +138,8 @@ def stats_for(name: str) -> CacheStats:
 
     Created on first use; per-instance caches (embeddings, thesaurus)
     share one stats object per name so the perf report aggregates them.
+    A :func:`memoize` name's stats read hits and misses from the
+    function's ``cache_info()``.
     """
     stats = _STATS_REGISTRY.get(name)
     if stats is None:
@@ -149,10 +152,16 @@ def all_cache_stats() -> Dict[str, CacheStats]:
     return dict(_STATS_REGISTRY)
 
 
-def reset_cache_stats() -> None:
-    """Zero every registered counter (kept registered, for benchmarks)."""
-    for stats in _STATS_REGISTRY.values():
-        stats.hits = stats.misses = stats.evictions = stats.puts = 0
+class _LruStats(CacheStats):
+    """Hits and misses of one ``functools.lru_cache``, read live from its
+    ``cache_info()`` (so ``cache_clear()`` zeroes them); evictions and
+    puts are not counted."""
+
+    def __init__(self, cache_info: Callable[[], Any]):
+        self._info = cache_info
+
+    hits = property(lambda self: self._info().hits)  # type: ignore[assignment]
+    misses = property(lambda self: self._info().misses)  # type: ignore[assignment]
 
 
 F = TypeVar("F", bound=Callable[..., Any])
@@ -163,28 +172,18 @@ _MISS = MISSING
 
 
 def memoize(name: str, maxsize: int = 16384) -> Callable[[F], F]:
-    """Bounded LRU memoization for a pure function of hashable args.
+    """Bounded LRU memoization (``functools.lru_cache``) for a pure
+    function of hashable args.
 
-    Results are cached per positional-argument tuple; hit/miss counters
-    land in ``stats_for(name)``.  The wrapped function gains
-    ``cache_clear()`` and ``cache_stats`` attributes.
+    ``stats_for(name)`` reads the cache's hits and misses from its
+    ``cache_info()``.  The wrapped function keeps ``cache_info()`` and
+    ``cache_clear()`` and gains ``cache_stats``, that same stats object.
     """
 
     def wrap(fn: F) -> F:
-        cache = LRUCache(maxsize, stats_for(name))
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any) -> Any:
-            value = cache.get(args, _MISS)
-            if value is not _MISS:
-                return value
-            value = fn(*args)
-            cache.put(args, value)
-            return value
-
-        wrapper.cache_clear = cache.clear  # type: ignore[attr-defined]
-        wrapper.cache_stats = cache.stats  # type: ignore[attr-defined]
-        wrapper.__wrapped__ = fn
+        wrapper = functools.lru_cache(maxsize)(fn)
+        stats = _STATS_REGISTRY[name] = _LruStats(wrapper.cache_info)
+        wrapper.cache_stats = stats  # type: ignore[attr-defined]
         return wrapper  # type: ignore[return-value]
 
     return wrap

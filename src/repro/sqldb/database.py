@@ -32,6 +32,13 @@ class Database:
         self.foreign_keys: List[ForeignKey] = []
         #: bumped on catalog changes (new tables); plan caches key off it.
         self.catalog_version: int = 0
+        #: monotonic version covering catalog shape and row contents:
+        #: bumped by every new table and every table write (see
+        #: :meth:`Table.insert`), so the value index
+        #: (:mod:`repro.sqldb.index`) and the columnar engine's caches
+        #: detect staleness in O(1).  Like ``Table.version`` it assumes
+        #: one writer at a time (readers may run concurrently).
+        self.data_version: int = 0
         self._default_executor = None
 
     # -- catalog ------------------------------------------------------------
@@ -41,9 +48,10 @@ class Database:
         key = schema.name.lower()
         if key in self._tables:
             raise SchemaError(f"table {schema.name!r} already exists")
-        table = Table(schema)
+        table = Table(schema, self)
         self._tables[key] = table
         self.catalog_version += 1
+        self.data_version += 1
         return table
 
     def create_table_sql(self, sql: str) -> Table:
@@ -107,16 +115,6 @@ class Database:
         return self.table(table_name).insert_many(rows)
 
     # -- SQL execution ----------------------------------------------------------
-
-    @property
-    def data_version(self) -> int:
-        """Monotonic version covering catalog shape and row contents.
-
-        Changes whenever a table is created or a row inserted; the
-        value index (:mod:`repro.sqldb.index`) and the columnar engine's
-        caches use it to detect staleness.
-        """
-        return self.catalog_version + sum(t.version for t in self._tables.values())
 
     @property
     def executor(self) -> "Executor":

@@ -33,17 +33,19 @@ from .types import coerce, hash_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .columnar import ColumnStore
+    from .database import Database
 
 
 class Table:
     """An in-memory table: a :class:`TableSchema` plus a list of row tuples."""
 
-    def __init__(self, schema: TableSchema):
+    def __init__(self, schema: TableSchema, database: "Database"):
         self.schema = schema
         self.rows: List[Tuple[Any, ...]] = []
-        #: bumped on every insert; caches keyed on the database's
-        #: ``data_version`` use it to notice writes.
+        #: bumped on every insert, together with the owning database's
+        #: ``data_version``, which caches key on to notice writes.
         self.version: int = 0
+        self._database = database
         #: column → (n, index over ``rows[:n]``); see :meth:`secondary_index`
         self._indexes: Dict[str, Tuple[int, Dict[Any, List[int]]]] = {}
         #: the latest published column store; ``None`` until first requested
@@ -81,6 +83,7 @@ class Table:
             row.append(converted)
         self.rows.append(tuple(row))
         self.version += 1
+        self._database.data_version += 1
 
     def insert_dict(self, record: Dict[str, Any]) -> None:
         """Insert one row given as a ``{column: value}`` mapping.
@@ -125,6 +128,7 @@ class Table:
             return 0
         self.rows.extend(converted)
         self.version += 1
+        self._database.data_version += 1
         return len(converted)
 
     # -- secondary indexes --------------------------------------------------

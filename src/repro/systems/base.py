@@ -17,7 +17,7 @@ the *alternative* candidates for each ambiguous span.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.evidence import EvidenceAnnotation, resolve_overlaps
 from repro.core.intermediate import PropertyRef
@@ -284,7 +284,7 @@ class EntityAnnotator:
         return out
 
     def _surface_score(
-        self, words: List[str], forms: Set[str], context: NLIDBContext
+        self, words: List[str], forms: FrozenSet[str], context: NLIDBContext
     ) -> float:
         best = 0.0
         for form in forms:

@@ -1,7 +1,9 @@
 """Unit tests for the ontology layer: model, builder, reasoner, relaxation."""
 
+import networkx as nx
 import pytest
 
+from repro.core import OQLCondition, OQLItem, OQLQuery, PropertyRef, compile_oql
 from repro.ontology import (
     Ontology,
     OntologyError,
@@ -62,6 +64,27 @@ class TestOntologyModel:
         graph = self.make().graph()
         assert graph.has_edge("employee", "department")
         assert graph.has_edge("employee", "person")
+
+    def test_graph_is_shared_and_frozen(self):
+        onto = self.make()
+        assert onto.graph() is onto.graph()
+        assert onto.simple_graph() is onto.simple_graph()
+        assert nx.is_frozen(onto.graph()) and nx.is_frozen(onto.simple_graph())
+
+    def test_graph_rebuilt_after_add_relation(self):
+        onto = self.make()
+        before = onto.graph()
+        assert not before.has_edge("department", "person")
+        onto.add_relation("managed by", "department", "person")
+        assert onto.graph() is not before
+        assert onto.graph().has_edge("department", "person")
+        assert onto.simple_graph().has_edge("department", "person")
+
+    def test_add_property_keeps_graph(self):
+        onto = self.make()
+        before = onto.graph()
+        onto.add_property("department", "budget", DataType.FLOAT)
+        assert onto.graph() is before
 
 
 class TestHumanize:
@@ -154,6 +177,33 @@ class TestReasoner:
         onto.add_concept("b")
         with pytest.raises(OntologyError):
             Reasoner(onto).relation_path("a", "b")
+
+    def test_reasoner_sees_relation_added_after_it(self):
+        onto = Ontology()
+        onto.add_concept("a")
+        onto.add_concept("b")
+        reasoner = Reasoner(onto)
+        onto.add_relation("r", "a", "b")
+        assert [r.name for r in reasoner.relation_path("a", "b")] == ["r"]
+
+    def test_compiling_twice_builds_no_second_graph(self, shop_ctx, monkeypatch):
+        query = OQLQuery(
+            select=(OQLItem(ref=PropertyRef("customer", "name")),),
+            conditions=(OQLCondition(PropertyRef("product", "pname"), "=", "pen"),),
+        )
+        first = compile_oql(query, shop_ctx.ontology, shop_ctx.mapping)
+        builds = []
+        add_nodes_from = nx.MultiGraph.add_nodes_from
+
+        def counting(graph, nodes, **attr):
+            builds.append(graph)
+            return add_nodes_from(graph, nodes, **attr)
+
+        monkeypatch.setattr(nx.MultiGraph, "add_nodes_from", counting)
+        second = compile_oql(query, shop_ctx.ontology, shop_ctx.mapping)
+        assert second.to_sql() == first.to_sql()
+        assert "JOIN" in first.to_sql()
+        assert builds == []
 
 
 class TestKnowledgeBase:

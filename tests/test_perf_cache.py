@@ -99,6 +99,18 @@ class TestMemoize:
         assert stats_for("nlp.similarity").delta(before).hits >= 1
 
 
+class TestMemoStatsFromLruCache:
+    def test_registry_reads_cache_info(self):
+        from repro.nlp.similarity import string_similarity
+
+        string_similarity("colour", "color")
+        string_similarity("colour", "color")
+        info = string_similarity.cache_info()
+        assert info.hits >= 1
+        assert stats_for("nlp.similarity").hits == info.hits
+        assert stats_for("nlp.similarity").misses == info.misses
+
+
 class TestNormalizeQuestion:
     def test_whitespace_collapsed(self):
         assert normalize_question("  show   all\temployees ") == "show all employees"

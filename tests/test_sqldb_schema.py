@@ -128,6 +128,48 @@ class TestDatabase:
         assert stats["rows"] == 3 + 3 + 3 + 4
 
 
+class TestDataVersion:
+    """``Database.data_version`` is one counter that every new table and
+    every table write bumps, whichever object the write goes through."""
+
+    def test_create_table_bumps(self):
+        db = Database()
+        before = db.data_version
+        db.create_table(make_schema())
+        assert db.data_version > before
+
+    def test_insert_through_table_bumps(self):
+        db = Database()
+        db.create_table(make_schema())
+        before = db.data_version
+        db.table("t").insert([1, "a", 2.5])
+        assert db.data_version > before
+
+    def test_nonempty_insert_many_through_table_bumps(self):
+        db = Database()
+        db.create_table(make_schema())
+        before = db.data_version
+        assert db.table("t").insert_many([[1, "a", 1.0], [2, "b", 2.0]]) == 2
+        assert db.data_version > before
+
+    def test_empty_insert_many_keeps_version(self):
+        db = Database()
+        db.create_table(make_schema())
+        before = db.data_version
+        assert db.table("t").insert_many([]) == 0
+        assert db.data_version == before
+
+    def test_failed_insert_many_keeps_version(self):
+        db = Database()
+        table = db.create_table(make_schema())
+        table.insert([1, "a", 1.0])
+        before = db.data_version
+        with pytest.raises(TypeMismatchError):
+            table.insert_many([[2, "b", 2.0], [None, "c", 3.0]])
+        assert db.data_version == before
+        assert len(table) == 1
+
+
 class TestDdlRoundTrip:
     def test_not_null_round_trips_end_to_end(self):
         # schema -> DDL text -> parsed schema -> database: the NOT NULL
