@@ -160,6 +160,15 @@ class _Scope:
         return _MISSING
 
 
+def _binds(ref: ColumnRef, bindings: List[Tuple[str, TableSchema]]) -> bool:
+    """Whether ``ref`` stops at this level of the scope chain, as
+    :meth:`_Scope._resolve_local` decides (with a value or an error)."""
+    if ref.table:
+        want = ref.table.lower()
+        return any(binding == want for binding, _ in bindings)
+    return any(ref.column in schema for _, schema in bindings)
+
+
 class _Missing:
     __slots__ = ()
 
@@ -262,6 +271,11 @@ class Executor:
         self.last_stats = ExecutionStats()
         self.total_stats = ExecutionStats()
         self._stats = self.last_stats
+        #: ``id(expr) -> reduced result`` of each uncorrelated subquery run
+        #: so far in the current statement execution, whose tree stays
+        #: alive (so no other expression takes the id) until the next
+        #: execution empties it
+        self._subquery_results: Dict[int, Any] = {}
         self._planner = Planner(database)
         self._analyzer = None
         self._columnar = None
@@ -270,8 +284,8 @@ class Executor:
         #: WindowFunction reached by ``_eval`` outside such a projection
         #: has no value and raises :class:`MisplacedWindowError`.
         self._active_windows: Optional[Dict[WindowFunction, Any]] = None
-        #: ``id(stmt) -> [stmt, analysis, plan]``, each half filled on
-        #: first use; cleared when ``catalog_version`` moves
+        #: ``id(stmt) -> [stmt, analysis, plan, uncorrelated]``, each
+        #: part filled on first use; cleared when ``catalog_version`` moves
         self._statement_info = LRUCache(512)
         self._info_catalog_version = database.catalog_version
 
@@ -342,6 +356,7 @@ class Executor:
     def _begin_query(self) -> None:
         self.last_stats = ExecutionStats()
         self._stats = self.last_stats
+        self._subquery_results = {}
 
     def _preflight(self, stmt: Statement) -> None:
         """Static pre-flight: reject statements the analyzer proves broken.
@@ -381,7 +396,8 @@ class Executor:
         return stmt
 
     def _info_entry(self, stmt: Statement) -> List[Any]:
-        """The ``[stmt, analysis, plan]`` cache entry for ``stmt``."""
+        """The ``[stmt, analysis, plan, uncorrelated]`` cache entry for
+        ``stmt``."""
         if self.database.catalog_version != self._info_catalog_version:
             # New tables can change name resolution and unqualified-column
             # binding, so every verdict and plan is dropped.
@@ -389,7 +405,7 @@ class Executor:
             self._info_catalog_version = self.database.catalog_version
         entry = self._statement_info.get(id(stmt))
         if entry is None or entry[0] is not stmt:
-            entry = [stmt, None, None]
+            entry = [stmt, None, None, None]
             self._statement_info.put(id(stmt), entry)
         return entry
 
@@ -398,6 +414,53 @@ class Executor:
         if entry[2] is None:
             entry[2] = self._planner.plan(stmt)
         return entry[2]
+
+    def _uncorrelated(self, stmt: SelectStatement) -> bool:
+        """Whether subquery ``stmt`` reads nothing from enclosing rows,
+        so one run serves every outer row (decided once per statement)."""
+        entry = self._info_entry(stmt)
+        if entry[3] is None:
+            entry[3] = self._binds_inside(stmt, ())
+        return bool(entry[3])
+
+    def _binds_inside(
+        self, stmt: SelectStatement, levels: Tuple[List[Tuple[str, TableSchema]], ...]
+    ) -> bool:
+        """Whether every column reference in ``stmt`` binds to a block of
+        ``stmt`` itself.  ``levels`` holds the bindings of the blocks
+        enclosing ``stmt`` inside the subquery under test, innermost
+        last, and a reference walks them as :meth:`_Scope.resolve` walks
+        its parents: a name that only a sibling subquery binds resolves
+        outward, so it correlates."""
+        trefs = [stmt.from_table] if stmt.from_table is not None else []
+        trefs.extend(join.table for join in stmt.joins)
+        if not all(self.database.has_table(tref.table) for tref in trefs):
+            return False  # the run raises; keep it per row
+        bindings = [(t.binding.lower(), self.database.schema(t.table)) for t in trefs]
+        # a join condition sees only the tables bound so far
+        base = len(trefs) - len(stmt.joins)
+        roots = [
+            (join.condition, levels + (bindings[: base + i + 1],))
+            for i, join in enumerate(stmt.joins)
+        ]
+        exprs = (
+            *(item.expr for item in stmt.select_items),
+            stmt.where,
+            *stmt.group_by,
+            stmt.having,
+            *(order.expr for order in stmt.order_by),
+        )
+        roots.extend((expr, levels + (bindings,)) for expr in exprs if expr is not None)
+        for root, scope in roots:
+            for node in root.walk():
+                if isinstance(node, SubqueryExpr):
+                    if not self._binds_inside(node.query, scope):
+                        return False
+                elif isinstance(node, ColumnRef) and not any(
+                    _binds(node, level) for level in scope
+                ):
+                    return False
+        return True
 
     def _columnar_engine(self) -> "Optional[ColumnarEngine]":
         """The lazily built vectorized engine, or ``None`` when disabled
@@ -1097,6 +1160,34 @@ class Executor:
 
     def _eval_subquery(self, expr: SubqueryExpr, scope: _AnyScope) -> Any:
         self._stats.subqueries += 1
+        if id(expr) in self._subquery_results:
+            result = self._subquery_results[id(expr)]
+        else:
+            result = self._run_subquery(expr, scope)
+            if self._uncorrelated(expr.query):
+                self._subquery_results[id(expr)] = result
+        if expr.kind == "scalar":
+            if expr.operand is None or expr.op is None:
+                return result
+            return binary_value(expr.op, self._eval(expr.operand, scope), result)
+        if expr.kind in ("in", "not_in"):
+            keys, has_null = result
+            outer = self._eval(expr.operand, scope) if expr.operand else None
+            if outer is None:
+                # NULL IN (empty set) is false; otherwise unknown.
+                verdict: Any = False if not keys and not has_null else None
+            elif hash_key(outer) in keys:
+                verdict = True
+            else:
+                verdict = None if has_null else False
+            return not3(verdict) if expr.kind == "not_in" else verdict
+        return result if expr.kind == "exists" else not result
+
+    def _run_subquery(self, expr: SubqueryExpr, scope: _AnyScope) -> Any:
+        """Run ``expr``'s query under ``scope`` and reduce the result to
+        what its kind reads: the scalar value, ``(hash keys, has NULL)``
+        for ``IN`` (``hash_key`` is equal iff ``values_equal``), or
+        whether a row exists."""
         # The enclosing block's window values must not leak into the
         # subquery's own evaluation (its windows get their own scope).
         saved = self._active_windows
@@ -1113,28 +1204,15 @@ class Executor:
                 raise SubqueryColumnsError("scalar subquery must return one column")
             if len(result.rows) > 1:
                 raise SubqueryError("scalar subquery returned more than one row")
-            value = result.rows[0][0] if result.rows else None
-            if expr.operand is None or expr.op is None:
-                return value
-            return binary_value(expr.op, self._eval(expr.operand, scope), value)
+            return result.rows[0][0] if result.rows else None
         if expr.kind in ("in", "not_in"):
             if len(result.columns) != 1:
                 raise SubqueryColumnsError("IN subquery must return one column")
-            outer = self._eval(expr.operand, scope) if expr.operand else None
             values = result.first_column()
-            if outer is None:
-                # NULL IN (empty set) is false; otherwise unknown.
-                verdict: Any = False if not values else None
-            elif any(values_equal(outer, v) for v in values):
-                verdict = True
-            elif any(v is None for v in values):
-                verdict = None
-            else:
-                verdict = False
-            return not3(verdict) if expr.kind == "not_in" else verdict
+            keys = {hash_key(v) for v in values if v is not None}
+            return keys, any(v is None for v in values)
         if expr.kind in ("exists", "not_exists"):
-            has_rows = bool(result.rows)
-            return not has_rows if expr.kind == "not_exists" else has_rows
+            return bool(result.rows)
         raise ExecutionError(f"unknown subquery kind {expr.kind!r}")  # pragma: no cover
 
     def _eval_aggregate(self, call: FuncCall, group: _Group) -> Any:
