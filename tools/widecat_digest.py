@@ -8,6 +8,11 @@ Builds the 250-table catalog and its question pool the way
 and prints one JSON line:
 
 - ``n`` and ``answered`` (questions with a non-``None`` answer);
+- ``matched``: the answers that match the gold SQL's result, scored by
+  perfbench's ``GoldOracle`` after the last question, so accuracy is
+  read over the same N questions whatever the speed (perfbench's
+  ``answered_share`` and ``exec_match_share`` cover however many
+  questions its timed loop reaches);
 - ``digest``: one sha256 over the per-question ``answer_digest``s, in
   stream order, so two trees that print the same digest gave the same
   answers (abstentions included);
@@ -40,7 +45,7 @@ def widecat_digest(n: int) -> Dict[str, Any]:
     """Answer the first ``n`` shuffled widecat questions; the summary."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import repro.systems  # noqa: F401  (populates the system registry)
-    from inputs import question_pool
+    from inputs import GoldOracle, question_pool
     from nl import answer_digest, build_database
     from nlq_widecat import CATALOGUE_SEED, PER_TIER, SPEC
     from repro.core.pipeline import NLIDBContext
@@ -51,13 +56,15 @@ def widecat_digest(n: int) -> Dict[str, Any]:
     random.Random(SHUFFLE_SEED).shuffle(pool)
     context = NLIDBContext(database)
     system = create("athena")
-    digests: List[Optional[str]] = []
-    for question in pool[:n]:
-        digests.append(answer_digest(system.answer(question.text, context)))
+    asked = pool[:n]
+    answers = [system.answer(question.text, context) for question in asked]
+    digests = [answer_digest(answer) for answer in answers]
     stats = context.executor.total_stats
+    oracle = GoldOracle(database)
     summary: Dict[str, Any] = {
         "n": len(digests),
         "answered": sum(d is not None for d in digests),
+        "matched": sum(oracle.matches(q, a) for q, a in zip(asked, answers)),
         "digest": hashlib.sha256(json.dumps(digests).encode()).hexdigest(),
     }
     summary.update({name: getattr(stats, name) for name in COUNTERS})
