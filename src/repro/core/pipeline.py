@@ -17,10 +17,8 @@ from __future__ import annotations
 import abc
 from typing import List, Optional, Tuple
 
-from repro.nlp.thesaurus import DEFAULT_THESAURUS, Thesaurus
+from repro.nlp.thesaurus import DEFAULT_THESAURUS
 from repro.ontology.builder import build_ontology
-from repro.ontology.mapping import OntologyMapping
-from repro.ontology.model import Ontology
 from repro.ontology.reasoner import Reasoner
 from repro.perf.profiler import profile_stage
 from repro.sqldb.database import Database
@@ -39,27 +37,20 @@ class NLIDBContext:
 
     Building the value index and the ontology is linear in the data; the
     context makes that a one-time cost per database, mirroring how real
-    systems build their indexes offline.  Metadata lookups go through
-    the schema index (or the annotator's brute-force scan), data lookups
-    through ``value_index``.
+    systems build their indexes offline.  The context builds its own
+    ontology (with its mapping) from the database and its own thesaurus
+    (the default one plus the schema's declared synonyms), and neither
+    changes after construction.  Metadata lookups go through the schema
+    index (or the annotator's brute-force scan), data lookups through
+    ``value_index``.
     """
 
-    def __init__(
-        self,
-        database: Database,
-        ontology: Optional[Ontology] = None,
-        mapping: Optional[OntologyMapping] = None,
-        thesaurus: Optional[Thesaurus] = None,
-        use_schema_index: bool = True,
-    ):
+    def __init__(self, database: Database, use_schema_index: bool = True):
         self.database = database
         self.value_index = ValueIndex(database)
-        if ontology is None or mapping is None:
-            ontology, mapping = build_ontology(database)
-        self.ontology = ontology
-        self.mapping = mapping
-        self.reasoner = Reasoner(ontology, mapping)
-        self.thesaurus = thesaurus or DEFAULT_THESAURUS
+        self.ontology, self.mapping = build_ontology(database)
+        self.reasoner = Reasoner(self.ontology, self.mapping)
+        self.thesaurus = DEFAULT_THESAURUS
         self.executor = Executor(database)
         #: per-query ExecutionStats of the most recent execute() call
         self.last_stats = None
@@ -95,9 +86,10 @@ class NLIDBContext:
         """The context's compressed schema index, or ``None`` when the
         ``use_schema_index`` escape hatch disabled it.
 
-        Built lazily on first access; the lexicon and value buckets
-        inside rebuild themselves when ``catalog_version`` /
-        ``data_version`` move, so the index is always current.
+        Built lazily on first access.  Its lexicon is built once: the
+        context's ontology and thesaurus do not change after
+        construction.  Its value buckets rebuild when ``data_version``
+        moves, so fuzzy value matching sees new rows.
         """
         if not self.use_schema_index:
             return None

@@ -6,9 +6,9 @@ ontology, so interpretation cost grows linearly with catalog width —
 fine for 5–10-table demo domains, fatal for the hundreds-of-table
 enterprise catalogs the survey flags as the deployment reality (§7).
 
-:class:`SchemaIndex` is a precomputed inverted lexicon over the
-ontology's concepts/properties/relations (and the raw catalog
-table/column identifiers): for every surface form it indexes
+:class:`SchemaIndex` is a precomputed inverted lexicon over exactly the
+targets the annotator scores, the ontology's concepts and properties:
+for every surface form it indexes
 
 - the exact lower-cased form and each of its identifier words,
 - their lemmas,
@@ -68,21 +68,23 @@ preserving the tables → text columns → distinct values iteration order,
 so the best-candidate tie-break ("first in iteration order wins on
 equal score") is replayed identically.
 
-Versioning: the lexicon rebuilds when ``Database.catalog_version``
-moves, the value buckets when ``data_version`` moves, and both report
-build hit/miss counters through :func:`repro.perf.cache.stats_for` (a
-served lookup at an unchanged version is a hit; a version bump is a
-miss + rebuild).
+Versioning: the lexicon is built once, on first use.  Its inputs, the
+context's ontology and thesaurus, are fixed once the context exists
+(the context builds both itself), so a new table or row cannot change
+it.  The value buckets read rows: they rebuild when
+``Database.data_version`` moves and report build hit/miss counters
+through ``stats_for("schema_index.values")`` (a served lookup at an
+unchanged version is a hit; a version bump is a miss + rebuild).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.nlp.lemmatizer import lemmatize
 from repro.nlp.similarity import trigrams
-from repro.nlp.thesaurus import DEFAULT_THESAURUS, Thesaurus
+from repro.nlp.thesaurus import Thesaurus
 from repro.ontology.mapping import OntologyMapping
 from repro.ontology.model import Ontology
 from repro.perf.cache import MISSING, LRUCache, stats_for
@@ -203,24 +205,21 @@ class SchemaIndex:
     def __init__(
         self,
         ontology: Ontology,
-        thesaurus: Optional[Thesaurus] = None,
-        database: Optional[Database] = None,
-        mapping: Optional[OntologyMapping] = None,
+        thesaurus: Thesaurus,
+        database: Database,
+        mapping: OntologyMapping,
     ):
         self.ontology = ontology
-        self.thesaurus = thesaurus or DEFAULT_THESAURUS
+        self.thesaurus = thesaurus
         self.database = database
         self.mapping = mapping
         #: superset-pruning counters, observable by the bench harness
         self.pruning = PruningCounters()
-        self._build_stats = stats_for("schema_index.lexicon")
         self._value_stats = stats_for("schema_index.values")
-        # lexicon state (built lazily, versioned on catalog_version)
+        # lexicon state (built once, on first use)
         self._targets: List[Tuple[str, Any]] = []
-        self._n_metadata = 0
         self._exact: Optional[Dict[str, Set[int]]] = None
         self._trigram: Dict[str, Set[int]] = {}
-        self._built_catalog_version: Optional[int] = None
         # span words repeat across overlapping windows and questions;
         # memoize word → admissible metadata ordinals per threshold
         self._lookup_memo = LRUCache(maxsize=8192, stats=stats_for("schema_index.lookup"))
@@ -240,7 +239,7 @@ class SchemaIndex:
     def metadata_targets(self) -> int:
         """Number of concept + property targets (the brute-force loop size)."""
         self._ensure_lexicon()
-        return self._n_metadata
+        return len(self._targets)
 
     def candidate_targets(
         self, words: Sequence[str], threshold: float
@@ -257,7 +256,7 @@ class SchemaIndex:
             allowed |= self._word_ordinals(word, threshold)
         ordinals = sorted(allowed)
         self.pruning.spans += 1
-        self.pruning.considered += self._n_metadata
+        self.pruning.considered += len(self._targets)
         self.pruning.scored += len(ordinals)
         return [self._targets[i] for i in ordinals]
 
@@ -269,16 +268,15 @@ class SchemaIndex:
             return cached
         exact = self._exact
         assert exact is not None
-        n_meta = self._n_metadata
         allowed: Set[int] = set()
         hit = exact.get(word)
         if hit:
-            allowed.update(i for i in hit if i < n_meta)
+            allowed.update(hit)
         lemma = lemmatize(word)
         if lemma != word:
             hit = exact.get(lemma)
             if hit:
-                allowed.update(i for i in hit if i < n_meta)
+                allowed.update(hit)
         if threshold <= FUZZY_CEILING:
             grams = trigrams(word)
             counts: Dict[int, int] = {}
@@ -286,7 +284,7 @@ class SchemaIndex:
                 bucket = self._trigram.get(gram)
                 if bucket:
                     for i in bucket:
-                        if i < n_meta and i not in allowed:
+                        if i not in allowed:
                             counts[i] = counts.get(i, 0) + 1
             length = max(1, len(word))
             distinct = len(grams)
@@ -295,29 +293,6 @@ class SchemaIndex:
                     allowed.add(i)
         out = frozenset(allowed)
         self._lookup_memo.put(key, out)
-        return out
-
-    def lookup(self, word: str, kinds: Optional[Set[str]] = None) -> List[Tuple[str, Any]]:
-        """All indexed targets (any kind) reachable from one word.
-
-        General lexicon access for non-annotator clients; ``kinds``
-        filters to e.g. ``{"relation", "table", "column"}``.
-        """
-        self._ensure_lexicon()
-        exact = self._exact
-        assert exact is not None
-        allowed: Set[int] = set()
-        for key in (word, lemmatize(word)):
-            hit = exact.get(key)
-            if hit:
-                allowed.update(hit)
-        for gram in trigrams(word):
-            bucket = self._trigram.get(gram)
-            if bucket:
-                allowed.update(bucket)
-        out = [self._targets[i] for i in sorted(allowed)]
-        if kinds is not None:
-            out = [t for t in out if t[0] in kinds]
         return out
 
     def fuzzy_value_pool(self, word: str) -> List[ValueEntry]:
@@ -355,61 +330,40 @@ class SchemaIndex:
     # -- lexicon construction --------------------------------------------------
 
     def _ensure_lexicon(self) -> None:
-        version = self.database.catalog_version if self.database is not None else 0
-        if self._exact is not None and version == self._built_catalog_version:
-            self._build_stats.hits += 1
-            return
-        self._build_stats.misses += 1
-        with profile_span("schema_index"):
-            self._build_lexicon()
-        self._built_catalog_version = version
-        self._build_stats.puts += 1
+        if self._exact is None:
+            with profile_span("schema_index"):
+                self._build_lexicon()
 
     def _build_lexicon(self) -> None:
-        self._targets = []
-        self._exact = {}
-        self._trigram = {}
-        self._lookup_memo.clear()
-        # metadata targets first, in exactly the annotator's brute-force
-        # iteration order: each concept, then its properties
+        # exactly the annotator's brute-force iteration order: each
+        # concept, then its properties
+        targets: List[Tuple[str, Any]] = []
         for concept in self.ontology.concepts.values():
-            self._add_target("concept", concept, concept.surface_forms())
+            targets.append(("concept", concept))
             for prop in concept.properties.values():
-                self._add_target("property", prop, prop.surface_forms())
-        self._n_metadata = len(self._targets)
-        for relation in self.ontology.relations:
-            self._add_target("relation", relation, relation.surface_forms())
-        if self.database is not None:
-            for table in self.database.tables:
-                self._add_target("table", table.name, {table.name.lower()})
-                for column in table.schema:
-                    self._add_target(
-                        "column",
-                        (table.name, column.name),
-                        {column.name.lower()},
-                    )
-
-    def _add_target(self, kind: str, element: Any, forms: FrozenSet[str]) -> None:
-        ordinal = len(self._targets)
-        self._targets.append((kind, element))
-        for form in forms:
-            self._index_form(ordinal, form)
-
-    def _index_form(self, ordinal: int, form: str) -> None:
+                targets.append(("property", prop))
         # the whole form is a matching unit (single-word spans score
         # against it directly), and so is each identifier word (phrase
-        # scoring aligns span words against them)
-        units = {form.lower().strip()}
-        units.update(split_identifier(form) or [form.lower()])
-        exact = self._exact
-        assert exact is not None
-        for term in units:
-            if not term:
-                continue
+        # scoring aligns span words against them); many targets share a
+        # unit, so collect each unit's ordinals and expand it once
+        carriers: Dict[str, Set[int]] = {}
+        for ordinal, (_, element) in enumerate(targets):
+            for form in element.surface_forms():
+                units = {form.lower().strip()}
+                units.update(split_identifier(form) or [form.lower()])
+                for term in units:
+                    if term:
+                        carriers.setdefault(term, set()).add(ordinal)
+        exact: Dict[str, Set[int]] = {}
+        trigram: Dict[str, Set[int]] = {}
+        for term, ordinals in carriers.items():
             for key in self._term_keys(term):
-                exact.setdefault(key, set()).add(ordinal)
+                exact.setdefault(key, set()).update(ordinals)
             for gram in trigrams(term):
-                self._trigram.setdefault(gram, set()).add(ordinal)
+                trigram.setdefault(gram, set()).update(ordinals)
+        self._targets = targets
+        self._trigram = trigram
+        self._exact = exact
 
     def _term_keys(self, term: str) -> Set[str]:
         keys = {term, lemmatize(term)}
@@ -420,10 +374,6 @@ class SchemaIndex:
     # -- fuzzy-value buckets ---------------------------------------------------
 
     def _ensure_values(self) -> None:
-        if self.database is None:
-            if self._value_buckets is None:
-                self._value_buckets = {}
-            return
         version = self.database.data_version
         if self._value_buckets is not None and version == self._built_data_version:
             self._value_stats.hits += 1
@@ -435,16 +385,12 @@ class SchemaIndex:
         self._value_stats.puts += 1
 
     def _build_values(self) -> None:
-        assert self.database is not None
         buckets: Dict[Tuple[str, int], List[ValueEntry]] = {}
         ordinal = 0
         count = 0
         for table in self.database.tables:
             for column in table.schema.text_columns():
-                if (
-                    self.mapping is not None
-                    and self.mapping.property_for_column(table.name, column.name) is None
-                ):
+                if self.mapping.property_for_column(table.name, column.name) is None:
                     # the annotator skips unmapped columns before scoring
                     continue
                 for value in table.distinct_values(column.name):

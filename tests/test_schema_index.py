@@ -5,9 +5,12 @@ annotation must equal brute-force annotation exactly — same spans, same
 scores, same candidate ordering — for every registered system, on every
 domain, through the fuzzy-value and thesaurus-expansion paths.  These
 tests check the contract differentially (seeded hypothesis typo
-generation included), plus the escape hatches, version invalidation,
-catalog generator determinism, and the harness's pruning columns.
+generation included), plus the escape hatches, the one-time lexicon
+build, value-bucket invalidation, catalog generator determinism, and
+the harness's pruning columns.
 """
+
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -27,7 +30,9 @@ from repro.core.schema_index import (
     _fuzzy_reachable,
 )
 from repro.core.evidence import EvidenceAnnotation, resolve_overlaps
-from repro.sqldb import Column, DataType, TableSchema
+from repro.core.intermediate import PropertyRef
+from repro.sqldb import Column, Database, DataType, TableSchema
+from repro.sqldb.index import split_identifier
 from repro.systems.base import EntityAnnotator
 
 #: probes exercising the paths clean workloads rarely take: fuzzy
@@ -172,14 +177,50 @@ def test_low_threshold_falls_back_to_brute_force():
         assert low.annotate(question, context) == low.annotate(question, brute)
 
 
-# -- versioned invalidation ----------------------------------------------------
+# -- one lexicon per index, over exactly the annotator's targets --------------
+
+CATALOGS = {
+    "retail": lambda: build_domain("retail", seed=0),
+    "widecat30": lambda: build_wide_catalog(30, seed=2),
+}
 
 
-def test_lexicon_invalidates_on_catalog_change():
-    db = build_domain("retail", seed=0)
-    context = NLIDBContext(db)
+@pytest.mark.parametrize("catalog", sorted(CATALOGS))
+def test_lexicon_targets_are_the_brute_force_targets(catalog):
+    context = NLIDBContext(CATALOGS[catalog]())
     index = context.schema_index
+    assert index.metadata_targets == len(index._targets)
+    assert index._targets == list(EntityAnnotator._all_metadata_targets(context))
+
+
+def test_each_unit_term_expands_once():
+    index = NLIDBContext(build_wide_catalog(30, seed=2)).schema_index
+    calls = Counter()
+    term_keys = index._term_keys
+
+    def counting(term):
+        calls[term] += 1
+        return term_keys(term)
+
+    index._term_keys = counting
+    index.metadata_targets  # noqa: B018  (builds the lexicon)
+    # a unit term is a whole lower-cased form or one of its identifier words
+    units = set()
+    for _, element in index._targets:
+        for form in element.surface_forms():
+            units.add(form.lower().strip())
+            units.update(split_identifier(form) or [form.lower()])
+    units.discard("")
+    assert set(calls) == units
+    assert set(calls.values()) == {1}
+
+
+def test_lexicon_survives_catalog_change():
+    db = build_domain("retail", seed=0)
+    indexed, brute = contexts_for(db)
+    index = indexed.schema_index
     before = index.metadata_targets
+    lexicon = index._exact
     db.create_table(
         TableSchema(
             "warehouses",
@@ -189,10 +230,77 @@ def test_lexicon_invalidates_on_catalog_change():
             ],
         )
     )
-    # the context's ontology does not change, but the catalog targets do
-    after = index.metadata_targets
-    assert after == before  # ontology targets unchanged...
-    assert ("table", "warehouses") in index.lookup("warehouses", kinds={"table"})
+    db.insert("warehouses", [1, "Harbor depot"])
+    # the context's ontology and thesaurus are fixed, so the lexicon is too
+    assert index.metadata_targets == before
+    assert index._exact is lexicon
+    questions = PROBES + ["list warehouses with warehouse label Harbor depot"]
+    for name, annotator in annotator_systems():
+        for question in questions:
+            a = annotator.annotate(question, indexed)
+            assert a == annotator.annotate(question, brute), (name, question)
+
+
+# -- fuzzy-value buckets -------------------------------------------------------
+
+
+def unmapped_first_catalog():
+    """``shops.city`` is a TEXT foreign key, so it maps to no property,
+    and the scan reaches it before ``cities.name``; both hold "Berlin"."""
+    db = Database("unmapped_first")
+    db.create_table(
+        TableSchema(
+            "shops",
+            [
+                Column("id", DataType.INTEGER, primary_key=True),
+                Column("city", DataType.TEXT),
+                Column("label", DataType.TEXT),
+            ],
+        )
+    )
+    db.create_table(
+        TableSchema(
+            "cities",
+            [
+                Column("name", DataType.TEXT, primary_key=True),
+                Column("country", DataType.TEXT),
+            ],
+        )
+    )
+    db.add_foreign_key("shops", "city", "cities", "name")
+    db.insert_many("cities", [["Berlin", "Germany"], ["Hamburg", "Germany"]])
+    db.insert_many("shops", [[1, "Berlin", "corner shop"], [2, "Hamburg", "kiosk"]])
+    return db
+
+
+VALUE_CATALOGS = {
+    **{name: (lambda name=name: build_domain(name, seed=3)) for name in domain_names()},
+    "widecat30": lambda: build_wide_catalog(30, seed=2),
+    "unmapped_first": unmapped_first_catalog,
+}
+
+
+@pytest.mark.parametrize("catalog", sorted(VALUE_CATALOGS))
+def test_fuzzy_value_pool_holds_mapped_columns_only(catalog):
+    context = NLIDBContext(VALUE_CATALOGS[catalog]())
+    index = context.schema_index
+    index.fuzzy_value_pool("warm")  # builds the buckets
+    entries = [entry for bucket in index._value_buckets.values() for entry in bucket]
+    assert entries
+    for _, table, column, _, _ in entries:
+        assert context.mapping.property_for_column(table, column) is not None, (table, column)
+
+
+def test_fuzzy_value_skips_an_unmapped_column_scanned_first():
+    indexed, brute = contexts_for(unmapped_first_catalog())
+    assert indexed.mapping.property_for_column("shops", "city") is None
+    annotator = EntityAnnotator()
+    question = "shops in Berlni"
+    annotated = annotator.annotate(question, indexed)
+    assert annotated == annotator.annotate(question, brute)
+    fuzzy = [c for c in annotated.candidates if c.target.endswith("(fuzzy)")]
+    assert fuzzy
+    assert all(c.payload == (PropertyRef("city", "name"), "Berlin") for c in fuzzy)
 
 
 def test_value_buckets_invalidate_on_data_change():
