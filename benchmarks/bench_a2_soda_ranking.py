@@ -56,10 +56,7 @@ class _NoBoost(AthenaSystem):
 
     def __init__(self):
         super().__init__()
-        self.annotator = _NoBoostAnnotator(
-            use_metadata=True, use_values=True, fuzzy_values=True,
-            similarity_threshold=0.75,
-        )
+        self.annotator = _NoBoostAnnotator(fuzzy_values=True, similarity_threshold=0.75)
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,9 @@ from typing import Any, Dict, List
 
 from .database import Database
 
+#: the most distinct values of one text column the index holds
+MAX_VALUES_PER_COLUMN = 100_000
+
 
 def _strip_punct(text: str) -> str:
     return "".join(ch if (ch.isalnum() or ch.isspace()) else " " for ch in text)
@@ -81,9 +84,8 @@ class ValueIndex:
     table).
     """
 
-    def __init__(self, database: Database, max_values_per_column: int = 100000):
+    def __init__(self, database: Database):
         self.database = database
-        self._cap = max_values_per_column
         self._build()
 
     def _build(self) -> None:
@@ -91,7 +93,7 @@ class ValueIndex:
         self._built_version = self.database.data_version
         for table in self.database.tables:
             for column in table.schema.text_columns():
-                for value in table.distinct_values(column.name)[: self._cap]:
+                for value in table.distinct_values(column.name)[:MAX_VALUES_PER_COLUMN]:
                     entry = IndexEntry(table.name, column.name, value)
                     full = normalize_token(value)
                     self._entries[full].append(entry)

@@ -32,6 +32,10 @@ from repro.nlp.tokenizer import Token
 from repro.ontology.relaxation import QueryRelaxer
 from repro.perf.profiler import profile_stage
 
+#: the longest question span (in tokens) matched against metadata; value
+#: spans may be two tokens longer
+MAX_SPAN = 3
+
 
 @dataclass
 class AnnotatedQuestion:
@@ -81,19 +85,13 @@ class EntityAnnotator:
 
     def __init__(
         self,
-        use_metadata: bool = True,
-        use_values: bool = True,
         fuzzy_values: bool = True,
         similarity_threshold: float = 0.75,
         relaxer: Optional[QueryRelaxer] = None,
-        max_span: int = 3,
     ):
-        self.use_metadata = use_metadata
-        self.use_values = use_values
         self.fuzzy_values = fuzzy_values
         self.similarity_threshold = similarity_threshold
         self.relaxer = relaxer
-        self.max_span = max_span
 
     # -- public API -----------------------------------------------------------
 
@@ -106,21 +104,19 @@ class EntityAnnotator:
         index = self._index_for(context)
         with profile_stage("match"):
             for start, end, words in self._spans(tokens):
-                if self.use_metadata:
-                    candidates.extend(
-                        self._metadata_candidates(start, end, words, context, index)
-                    )
-            if self.use_values:
-                for start, end, words in self._value_spans(tokens):
-                    candidates.extend(
-                        self._value_candidates(start, end, words, tokens, context)
-                    )
-            if self.fuzzy_values and self.use_values:
+                candidates.extend(
+                    self._metadata_candidates(start, end, words, context, index)
+                )
+            for start, end, words in self._value_spans(tokens):
+                candidates.extend(
+                    self._value_candidates(start, end, words, tokens, context)
+                )
+            if self.fuzzy_values:
                 matched = {i for c in candidates for i in range(c.start, c.end)}
                 candidates.extend(
                     self._fuzzy_value_candidates(tokens, matched, context, index)
                 )
-            if self.relaxer is not None and self.use_values:
+            if self.relaxer is not None:
                 matched = {i for c in candidates for i in range(c.start, c.end)}
                 candidates.extend(self._relaxed_candidates(tokens, matched, context))
         candidates = self._contextual_boost(candidates)
@@ -201,7 +197,7 @@ class EntityAnnotator:
 
     def _spans(self, tokens: List[Token]):
         n = len(tokens)
-        for length in range(min(self.max_span, n), 0, -1):
+        for length in range(min(MAX_SPAN, n), 0, -1):
             for start in range(0, n - length + 1):
                 window = tokens[start : start + length]
                 if any(t.kind == "punct" for t in window):
@@ -218,7 +214,7 @@ class EntityAnnotator:
         """Span enumeration for value lookup: punctuation *inside* a span
         is tolerated (and skipped) so "Dr. Emil Ito" matches as one value."""
         n = len(tokens)
-        for length in range(min(self.max_span + 2, n), 0, -1):
+        for length in range(min(MAX_SPAN + 2, n), 0, -1):
             for start in range(0, n - length + 1):
                 window = tokens[start : start + length]
                 if window[0].kind == "punct" or window[-1].kind == "punct":
@@ -404,7 +400,7 @@ class EntityAnnotator:
         out: List[EvidenceAnnotation] = []
         assert self.relaxer is not None
         n = len(tokens)
-        for length in range(min(self.max_span, n), 0, -1):
+        for length in range(min(MAX_SPAN, n), 0, -1):
             for start in range(0, n - length + 1):
                 end = start + length
                 if any(i in matched for i in range(start, end)):

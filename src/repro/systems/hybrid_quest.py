@@ -88,8 +88,6 @@ class QuestSystem(NLIDBSystem):
 
     def __init__(self):
         self.annotator = EntityAnnotator(
-            use_metadata=True,
-            use_values=True,
             fuzzy_values=True,
             similarity_threshold=0.7,
         )

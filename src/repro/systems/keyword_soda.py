@@ -43,8 +43,6 @@ class SodaSystem(NLIDBSystem):
     def __init__(self, fuzzy_values: bool = False):
         # SODA does exact index lookups; fuzziness off by default.
         self.annotator = EntityAnnotator(
-            use_metadata=True,
-            use_values=True,
             fuzzy_values=fuzzy_values,
             similarity_threshold=0.9,
         )

@@ -48,8 +48,6 @@ class AthenaSystem(NLIDBSystem):
         fuzzy_values: bool = True,
     ):
         self.annotator = EntityAnnotator(
-            use_metadata=True,
-            use_values=True,
             fuzzy_values=fuzzy_values,
             similarity_threshold=similarity_threshold,
             relaxer=relaxer,

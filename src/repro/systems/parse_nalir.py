@@ -54,8 +54,6 @@ class NalirSystem(NLIDBSystem):
         self.user = user or FirstOptionUser()
         self.clarify = clarify
         self.annotator = EntityAnnotator(
-            use_metadata=True,
-            use_values=True,
             fuzzy_values=True,
             similarity_threshold=similarity_threshold,
         )

@@ -33,8 +33,6 @@ class SqakSystem(NLIDBSystem):
 
     def __init__(self):
         self.annotator = EntityAnnotator(
-            use_metadata=True,
-            use_values=True,
             fuzzy_values=False,
             similarity_threshold=0.85,
         )

@@ -41,8 +41,6 @@ class QuickSystem(NLIDBSystem):
         self.user = user or FirstOptionUser()
         self.max_options = max_options
         self.annotator = EntityAnnotator(
-            use_metadata=True,
-            use_values=True,
             fuzzy_values=False,
             similarity_threshold=0.85,
         )

@@ -92,8 +92,6 @@ class TemplarSystem(NLIDBSystem):
         self.log = log or QueryLog()
         self.boost = boost
         self.annotator = EntityAnnotator(
-            use_metadata=True,
-            use_values=True,
             fuzzy_values=True,
             similarity_threshold=0.75,
         )

@@ -102,16 +102,18 @@ class TestRegistryCompleteness:
 
 
 class TestValueIndexCap:
-    def test_max_values_per_column_respected(self):
+    def test_max_values_per_column_respected(self, monkeypatch):
         from repro.sqldb import Column, Database, DataType, TableSchema
+        from repro.sqldb import index
         from repro.sqldb.index import ValueIndex
 
+        monkeypatch.setattr(index, "MAX_VALUES_PER_COLUMN", 10)
         db = Database("cap")
         db.create_table(
             TableSchema("t", [Column("id", DataType.INTEGER), Column("v", DataType.TEXT)])
         )
         for i in range(50):
             db.insert("t", [i, f"value{i}"])
-        capped = ValueIndex(db, max_values_per_column=10)
+        capped = ValueIndex(db)
         assert capped.lookup("value5")
         assert not capped.lookup("value49")
