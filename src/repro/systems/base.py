@@ -348,26 +348,24 @@ class EntityAnnotator:
                 continue
             if len(token.norm) < 4 or is_stopword(token.norm):
                 continue
-            best: Optional[Tuple[float, PropertyRef, object]] = None
+            # (score, table, column, value) of the first best match
+            best: Optional[Tuple[float, str, str, object]] = None
             if index is not None:
                 # The bucketed pool replays the brute-force scan over a
                 # pruned subsequence: same iteration order (global
                 # ordinals), same pre-filters (first char, |Δlen| ≤ 3),
-                # same strict-> tie-break, so `best` comes out identical.
+                # same mapped columns only, same strict-> tie-break, so
+                # `best` comes out identical.
                 for _, table_name, column_name, value, text in index.fuzzy_value_pool(
                     token.norm
                 ):
-                    ref = self._ref_for(table_name, column_name, context)
-                    if ref is None:
-                        continue
                     score = string_similarity(token.norm, text)
                     if score >= 0.74 and (best is None or score > best[0]):
-                        best = (score, ref, value)
+                        best = (score, table_name, column_name, value)
             else:
                 for table in context.database.tables:
                     for column in table.schema.text_columns():
-                        ref = self._ref_for(table.name, column.name, context)
-                        if ref is None:
+                        if self._ref_for(table.name, column.name, context) is None:
                             continue
                         for value in table.distinct_values(column.name):
                             text = str(value)
@@ -377,9 +375,10 @@ class EntityAnnotator:
                                 continue
                             score = string_similarity(token.norm, text)
                             if score >= 0.74 and (best is None or score > best[0]):
-                                best = (score, ref, value)
+                                best = (score, table.name, column.name, value)
             if best is not None:
-                score, ref, value = best
+                score, table_name, column_name, value = best
+                ref = self._ref_for(table_name, column_name, context)
                 out.append(
                     EvidenceAnnotation(
                         i,
