@@ -4,8 +4,10 @@ The "intelligent domain reasoning" the survey attributes to ATHENA [44]:
 given the set of concepts a question mentions, find how they connect.
 For two concepts this is a shortest path over the relation graph; for
 three or more it is a Steiner tree (computed with networkx's
-approximation), whose edges translate — through the ontology mapping —
-into the SQL join chain.
+approximation over the terminals' connected component), whose edges
+translate — through the ontology mapping — into the SQL join chain.
+Concepts in different components cannot be joined: every search raises
+:class:`~repro.ontology.model.OntologyError` for them.
 
 The relation graph is the ontology's own (:meth:`Ontology.graph`): one
 frozen graph per ontology version, shared by every reasoner and read on
@@ -47,15 +49,11 @@ class Reasoner:
         Inheritance edges contribute no relation (concepts share tables),
         so they are skipped in the output.
         """
-        a = self.ontology.concept(src).name
-        b = self.ontology.concept(dst).name
-        if a == b:
-            return []
-        try:
-            nodes = nx.shortest_path(self.ontology.graph(), a, b)
-        except nx.NetworkXNoPath:
-            raise OntologyError(f"concepts {src!r} and {dst!r} are not connected") from None
-        return self._edges_to_relations(nodes)
+        return [
+            relation
+            for _, _, relation in self.oriented_path(src, dst)
+            if relation is not None
+        ]
 
     def steiner_concepts(self, concepts: Sequence[str]) -> List[str]:
         """Minimal connected concept set covering all ``concepts``.
@@ -69,7 +67,16 @@ class Reasoner:
         if len(names) <= 1:
             return names
         # steiner_tree requires a Graph (not MultiGraph): edges collapsed.
-        tree = nx_approx.steiner_tree(self.ontology.simple_graph(), names)
+        graph = self.ontology.simple_graph()
+        component = nx.node_connected_component(graph, names[0])
+        if not component.issuperset(names):
+            raise OntologyError(f"concepts {names} are not connected")
+        if len(component) < graph.number_of_nodes():
+            # steiner_tree maps every node to its nearest terminal, so it
+            # must not see other components; a filter view keeps the
+            # graph's own node order (a node-set view iterates the set)
+            graph = nx.subgraph_view(graph, filter_node=component.__contains__)
+        tree = nx_approx.steiner_tree(graph, names)
         nodes = sorted(tree.nodes) if tree.number_of_nodes() else names
         return nodes
 
@@ -140,29 +147,14 @@ class Reasoner:
         """
         if self.mapping is None:
             raise OntologyError("reasoner has no mapping; cannot derive FKs")
-        a = self.ontology.concept(src).name
-        b = self.ontology.concept(dst).name
-        if a == b:
-            return []
-        nodes = nx.shortest_path(self.ontology.graph(), a, b)
         chain: List[ForeignKey] = []
-        for u, v in zip(nodes, nodes[1:]):
-            relation = self._pick_relation(u, v)
+        for u, v, relation in self.oriented_path(src, dst):
             if relation is None:
                 continue  # inheritance edge: same table family
-            oriented = self.mapping.fk_chain_of(relation.name, u, v)
-            chain.extend(oriented)
+            chain.extend(self.mapping.fk_chain_of(relation.name, u, v))
         return chain
 
     # -- helpers ----------------------------------------------------------------
-
-    def _edges_to_relations(self, nodes: List[str]) -> List[Relation]:
-        out = []
-        for u, v in zip(nodes, nodes[1:]):
-            relation = self._pick_relation(u, v)
-            if relation is not None:
-                out.append(relation)
-        return out
 
     def _pick_relation(self, u: str, v: str) -> Optional[Relation]:
         """Deterministically choose one relation between two concepts."""

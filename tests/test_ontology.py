@@ -3,7 +3,14 @@
 import networkx as nx
 import pytest
 
-from repro.core import OQLCondition, OQLItem, OQLQuery, PropertyRef, compile_oql
+from repro.core import (
+    CompilationError,
+    OQLCondition,
+    OQLItem,
+    OQLQuery,
+    PropertyRef,
+    compile_oql,
+)
 from repro.ontology import (
     Ontology,
     OntologyError,
@@ -13,7 +20,7 @@ from repro.ontology import (
     build_ontology,
     humanize,
 )
-from repro.sqldb import DataType
+from repro.sqldb import Column, Database, DataType, TableSchema
 
 
 class TestOntologyModel:
@@ -204,6 +211,84 @@ class TestReasoner:
         assert second.to_sql() == first.to_sql()
         assert "JOIN" in first.to_sql()
         assert builds == []
+
+
+def two_component_db() -> Database:
+    """authors – books – publishers, and separately stores – racks."""
+    db = Database("two_components")
+    for name, columns in [
+        ("authors", [("name", DataType.TEXT)]),
+        ("publishers", [("pname", DataType.TEXT)]),
+        ("books", [("title", DataType.TEXT), ("author_id", DataType.INTEGER),
+                   ("publisher_id", DataType.INTEGER)]),
+        ("stores", [("city", DataType.TEXT)]),
+        ("racks", [("label", DataType.TEXT), ("store_id", DataType.INTEGER)]),
+    ]:
+        db.create_table(
+            TableSchema(
+                name,
+                [Column("id", DataType.INTEGER, primary_key=True)]
+                + [Column(column, dtype) for column, dtype in columns],
+            )
+        )
+    db.add_foreign_key("books", "author_id", "authors", "id")
+    db.add_foreign_key("books", "publisher_id", "publishers", "id")
+    db.add_foreign_key("racks", "store_id", "stores", "id")
+    return db
+
+
+class TestReasonerOnSeveralComponents:
+    """A relation graph with more than one component: the Steiner tree is
+    searched within the terminals' component, and concepts in different
+    components raise ``OntologyError`` from every search."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        ontology, mapping = build_ontology(two_component_db())
+        return ontology, mapping, Reasoner(ontology, mapping)
+
+    def test_steiner_within_one_component(self, built):
+        _, _, reasoner = built
+        assert reasoner.steiner_concepts(["author", "book"]) == ["author", "book"]
+        assert reasoner.steiner_concepts(["author", "publisher"]) == [
+            "author", "book", "publisher",
+        ]
+        assert reasoner.steiner_concepts(["store", "rack"]) == ["rack", "store"]
+
+    def test_join_within_one_component(self, built):
+        _, _, reasoner = built
+        joined = [concept for concept, _ in reasoner.join_concepts(["author", "publisher"])]
+        assert joined == ["book", "publisher"]
+
+    @pytest.mark.parametrize(
+        "search", ["steiner_concepts", "join_concepts", "fk_chain", "relation_path"]
+    )
+    def test_across_components_raises(self, built, search):
+        _, _, reasoner = built
+        method = getattr(reasoner, search)
+        with pytest.raises(OntologyError, match="not connected"):
+            if search in ("steiner_concepts", "join_concepts"):
+                method(["author", "store"])
+            else:
+                method("author", "store")
+
+    def test_compile_across_components_raises(self, built):
+        ontology, mapping, _ = built
+        query = OQLQuery(
+            select=(OQLItem(ref=PropertyRef("author", "name")),),
+            conditions=(OQLCondition(PropertyRef("store", "city"), "=", "Oslo"),),
+        )
+        with pytest.raises(CompilationError, match="not connected"):
+            compile_oql(query, ontology, mapping)
+
+    def test_compile_within_one_component_joins(self, built):
+        ontology, mapping, _ = built
+        query = OQLQuery(
+            select=(OQLItem(ref=PropertyRef("author", "name")),),
+            conditions=(OQLCondition(PropertyRef("publisher", "pname"), "=", "Ace"),),
+        )
+        sql = compile_oql(query, ontology, mapping).to_sql()
+        assert "JOIN books" in sql and "JOIN publishers" in sql
 
 
 class TestKnowledgeBase:
