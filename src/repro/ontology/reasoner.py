@@ -76,9 +76,8 @@ class Reasoner:
             # must not see other components; a filter view keeps the
             # graph's own node order (a node-set view iterates the set)
             graph = nx.subgraph_view(graph, filter_node=component.__contains__)
-        tree = nx_approx.steiner_tree(graph, names)
-        nodes = sorted(tree.nodes) if tree.number_of_nodes() else names
-        return nodes
+        # terminals sharing a component always span a non-empty tree
+        return sorted(nx_approx.steiner_tree(graph, names).nodes)
 
     def join_concepts(self, concepts: Sequence[str]) -> List[Tuple[str, Relation]]:
         """Order the Steiner concepts into a join sequence.
