@@ -80,7 +80,7 @@ unchanged version is a hit; a version bump is a miss + rebuild).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.nlp.lemmatizer import lemmatize
 from repro.nlp.similarity import trigrams
@@ -197,6 +197,20 @@ class PruningCounters:
 
 #: one fuzzy-value bucket entry: (ordinal, table, column, value, str(value))
 ValueEntry = Tuple[int, str, str, Any, str]
+
+
+def all_metadata_targets(ontology: Ontology) -> Iterator[Tuple[str, Any]]:
+    """Every ``(kind, element)`` metadata target in brute-force order:
+    each concept, then its properties.
+
+    The annotator's brute-force path scores exactly these, and the
+    lexicon indexes exactly these, so the pruned candidates are an
+    order-preserving subsequence of the brute-force ones.
+    """
+    for concept in ontology.concepts.values():
+        yield "concept", concept
+        for prop in concept.properties.values():
+            yield "property", prop
 
 
 class SchemaIndex:
@@ -335,13 +349,7 @@ class SchemaIndex:
                 self._build_lexicon()
 
     def _build_lexicon(self) -> None:
-        # exactly the annotator's brute-force iteration order: each
-        # concept, then its properties
-        targets: List[Tuple[str, Any]] = []
-        for concept in self.ontology.concepts.values():
-            targets.append(("concept", concept))
-            for prop in concept.properties.values():
-                targets.append(("property", prop))
+        targets = list(all_metadata_targets(self.ontology))
         # the whole form is a matching unit (single-word spans score
         # against it directly), and so is each identifier word (phrase
         # scoring aligns span words against them); many targets share a

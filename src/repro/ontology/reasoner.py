@@ -71,11 +71,10 @@ class Reasoner:
         component = nx.node_connected_component(graph, names[0])
         if not component.issuperset(names):
             raise OntologyError(f"concepts {names} are not connected")
-        if len(component) < graph.number_of_nodes():
-            # steiner_tree maps every node to its nearest terminal, so it
-            # must not see other components; a filter view keeps the
-            # graph's own node order (a node-set view iterates the set)
-            graph = nx.subgraph_view(graph, filter_node=component.__contains__)
+        # steiner_tree maps every node to its nearest terminal, so it must
+        # not see other components; a filter view keeps the graph's own
+        # node order (a node-set view iterates the set)
+        graph = nx.subgraph_view(graph, filter_node=component.__contains__)
         # terminals sharing a component always span a non-empty tree
         return sorted(nx_approx.steiner_tree(graph, names).nodes)
 

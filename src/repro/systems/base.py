@@ -22,7 +22,7 @@ from typing import FrozenSet, List, Optional, Set, Tuple
 from repro.core.evidence import EvidenceAnnotation, resolve_overlaps
 from repro.core.intermediate import PropertyRef
 from repro.core.pipeline import NLIDBContext
-from repro.core.schema_index import SchemaIndex
+from repro.core.schema_index import SchemaIndex, all_metadata_targets
 from repro.nlp.matching import phrase_similarity, term_similarity
 from repro.nlp.patterns import PatternMatch, detect_patterns
 from repro.nlp.pos import tag_text
@@ -228,19 +228,6 @@ class EntityAnnotator:
 
     # -- metadata candidates ----------------------------------------------------------
 
-    @staticmethod
-    def _all_metadata_targets(context: NLIDBContext):
-        """Every (kind, element) pair in brute-force iteration order.
-
-        The schema index hands back the same pairs as an order-preserving
-        pruned subsequence, which is what makes the two paths produce
-        identical candidate lists.
-        """
-        for concept in context.ontology.concepts.values():
-            yield "concept", concept
-            for prop in concept.properties.values():
-                yield "property", prop
-
     def _metadata_candidates(
         self,
         start: int,
@@ -257,7 +244,7 @@ class EntityAnnotator:
             return out
         content = words
         if index is None:
-            targets = self._all_metadata_targets(context)
+            targets = all_metadata_targets(context.ontology)
         else:
             targets = index.candidate_targets(words, self.similarity_threshold)
         for kind, element in targets:

@@ -28,6 +28,7 @@ from repro.core.schema_index import (
     MIN_THRESHOLD,
     SchemaIndex,
     _fuzzy_reachable,
+    all_metadata_targets,
 )
 from repro.core.evidence import EvidenceAnnotation, resolve_overlaps
 from repro.core.intermediate import PropertyRef
@@ -179,19 +180,6 @@ def test_low_threshold_falls_back_to_brute_force():
 
 # -- one lexicon per index, over exactly the annotator's targets --------------
 
-CATALOGS = {
-    "retail": lambda: build_domain("retail", seed=0),
-    "widecat30": lambda: build_wide_catalog(30, seed=2),
-}
-
-
-@pytest.mark.parametrize("catalog", sorted(CATALOGS))
-def test_lexicon_targets_are_the_brute_force_targets(catalog):
-    context = NLIDBContext(CATALOGS[catalog]())
-    index = context.schema_index
-    assert index.metadata_targets == len(index._targets)
-    assert index._targets == list(EntityAnnotator._all_metadata_targets(context))
-
 
 def test_each_unit_term_expands_once():
     index = NLIDBContext(build_wide_catalog(30, seed=2)).schema_index
@@ -204,9 +192,10 @@ def test_each_unit_term_expands_once():
 
     index._term_keys = counting
     index.metadata_targets  # noqa: B018  (builds the lexicon)
-    # a unit term is a whole lower-cased form or one of its identifier words
+    # a unit term is a whole lower-cased form or one of its identifier
+    # words, and only the annotator's targets carry them
     units = set()
-    for _, element in index._targets:
+    for _, element in all_metadata_targets(index.ontology):
         for form in element.surface_forms():
             units.add(form.lower().strip())
             units.update(split_identifier(form) or [form.lower()])
