@@ -33,7 +33,7 @@ connectives.  WHERE/HAVING/ON keep only rows whose predicate is
 ``x NOT IN (1, NULL)`` matches nothing.  ``IS [NOT] NULL`` is the only
 NULL test that yields a plain boolean.  The remaining deviations from
 full SQL, chosen to match NLIDB benchmark practice, are documented in
-:mod:`repro.sqldb.types` (``LIKE`` is case-insensitive, as in SQLite;
+:mod:`repro.sqldb.types` (``LIKE`` folds ASCII case only, as in SQLite;
 comparisons across incompatible non-NULL types are false, not errors).
 The planner preserves result semantics exactly; the one sanctioned
 deviation is *error timing* — a predicate pushed below a join may raise

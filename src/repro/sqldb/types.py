@@ -316,9 +316,10 @@ def negate(value: Any) -> Any:
 
 @functools.lru_cache(maxsize=512)
 def like_to_regex(pattern: str) -> "re.Pattern[str]":
-    """The compiled regex of a ``LIKE`` pattern (case-insensitive, as in
-    SQLite).  Memoized: LIKE re-evaluates per row, and workloads reuse a
-    small set of patterns across thousands of rows."""
+    """The compiled regex of a ``LIKE`` pattern, as in SQLite: only ASCII
+    letters fold case, and ``_``/``%`` match newlines too.  Memoized:
+    LIKE re-evaluates per row, and workloads reuse a small set of
+    patterns across thousands of rows."""
     out = []
     for ch in pattern:
         if ch == "%":
@@ -327,7 +328,9 @@ def like_to_regex(pattern: str) -> "re.Pattern[str]":
             out.append(".")
         else:
             out.append(re.escape(ch))
-    return re.compile("^" + "".join(out) + "$", re.IGNORECASE)
+    return re.compile(
+        r"\A" + "".join(out) + r"\Z", re.IGNORECASE | re.ASCII | re.DOTALL
+    )
 
 
 _ARITH_OPS = ("+", "-", "*", "/")
