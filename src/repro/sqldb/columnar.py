@@ -21,7 +21,10 @@ Design rules, in priority order:
      :func:`~repro.sqldb.types.values_equal` /
      :func:`~repro.sqldb.types.values_compare` (numeric comparisons run
      in the same float64 domain the row path converts to; implicit
-     ISO-date coercion is resolved once per literal at compile time);
+     ISO-date coercion is resolved once per literal at compile time),
+     or runs the row path's own per-value rule: a text column is stored
+     as dictionary codes, so each text predicate evaluates once per
+     distinct value and its verdicts are gathered by code;
    - all *output* values (projections, MIN/MAX results, list-path
      aggregate inputs, GROUP BY dict keys) are taken from the original
      row tuples, never round-tripped through NumPy, so object identity
@@ -49,15 +52,15 @@ Design rules, in priority order:
 
 Known fallback triggers (documented in ``docs/architecture.md``): joins,
 subqueries, index-eligible scans, NaN-containing float columns under
-ordering comparisons, per-row DATE↔TEXT coercion, arithmetic or scalar
-functions inside WHERE, non-literal IN items, and text columns too wide
-(or too exotic) for a fixed-width unicode array.
+ordering comparisons, DATE↔TEXT column comparisons, arithmetic or scalar
+functions inside WHERE, and non-literal IN items.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
+from itertools import chain, repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - the toolchain bakes numpy in
@@ -81,7 +84,7 @@ from .ast import (
     WindowFunction,
 )
 from .executor import _Group, _Scope
-from .types import DataType, compare3, iso_date_or_none, like_to_regex
+from .types import DataType, compare3, iso_date_or_none, like_to_regex, values_equal
 
 from ..perf.cache import LRUCache
 from ..perf.profiler import profile_span
@@ -92,12 +95,6 @@ from ..perf.profiler import profile_span
 #: ``scan_agg`` 9.01 vs 9.86, ``ts_window`` 9.83 vs 10.29,
 #: ``group_region`` 133.7 vs 132.5.
 _CHUNK_ROWS = 131_072
-
-#: Widest fixed-width unicode column we will materialize (per string),
-#: and a cap on the whole array's character budget so a single huge
-#: column cannot balloon memory.
-_TEXT_WIDTH_LIMIT = 64
-_TEXT_CHARS_LIMIT = 64_000_000
 
 _INT_SUM_LIMIT = 2**62
 
@@ -123,22 +120,26 @@ class ColumnData:
     ``kind`` is one of ``int`` / ``float`` / ``bool`` / ``date`` /
     ``text`` (vectorizable) or ``other`` (only the NULL bitmap and the
     original Python values are available — IS NULL, COUNT and list-path
-    aggregates still work).  ``values`` uses a neutral fill (0 / 0.0 /
-    '' / False) at NULL positions; ``null`` is the validity complement.
-    ``pylist`` holds the *original* Python objects in row order — every
-    value the engine outputs comes from here, never from the array.
-    Both arrays are read-only: stores are shared by concurrent scans and
-    kernels hand out views of them.
+    aggregates still work).  A ``text`` column's ``values`` are int32
+    codes into ``dictionary`` (its distinct values, the first-seen
+    objects in first-seen order), -1 at NULL rows; ``_code_of`` maps a
+    value to its code, for extension only.  Other ``values`` use a
+    neutral fill (0 / 0.0 / False) at NULL positions; ``null`` is the
+    validity complement.  ``pylist`` holds the *original* Python objects
+    in row order — every value the engine outputs comes from here, never
+    from the array.  Arrays are read-only and dictionaries never
+    mutated: stores are shared by concurrent scans and kernels hand out
+    views of them.
 
-    Every fact derived from the data — the kind itself, a text array's
-    ``U`` width, ``has_null``, ``has_nan``, and ``int_sum_safe`` through
+    Every fact derived from the data — the kind itself, the dictionary's
+    order, ``has_null``, ``has_nan``, and ``int_sum_safe`` through
     ``abs_max`` — is monotone in the rows, which is what lets
     :func:`_concat` merge the images of two consecutive row ranges.
     """
 
     __slots__ = (
         "kind", "values", "null", "pylist", "has_null", "has_nan", "abs_max", "int_sum_safe",
-        "_float_view",
+        "dictionary", "_code_of", "_float_view", "_ranks",
     )
 
     def __init__(self, kind: str, values: Any, null: Any, pylist: List[Any], has_null: bool):
@@ -154,7 +155,10 @@ class ColumnData:
         #: largest ``|value|`` of an ``int`` column (NULL fills count as 0)
         self.abs_max = 0
         self.int_sum_safe = False
+        self.dictionary: Optional[List[str]] = None
+        self._code_of: Dict[str, int] = {}
         self._float_view: Any = None
+        self._ranks: Any = None
 
     def nulls(self, lo: int, hi: int) -> Any:
         """The NULL bitmap over ``[lo, hi)``, or ``None`` when the column
@@ -173,9 +177,32 @@ class ColumnData:
         return self._float_view
 
 
+def _rank_codes(*dictionaries: List[str]) -> List[Any]:
+    """Per dictionary, each code's rank in the sorted union of all of
+    them (comparing ranks compares the strings, as ``values_compare``
+    does), then a 0 slot for NULL's -1 code."""
+    union = sorted(set().union(*dictionaries))
+    rank = dict(zip(union, range(len(union))))
+    return [np.fromiter(map(rank.get, [*d, None], repeat(0)), np.int64) for d in dictionaries]
+
+
+def _text_column(
+    codes: Any, pylist: List[Any], dictionary: List[str], code_of: Dict[str, int]
+) -> ColumnData:
+    null = codes < 0
+    col = ColumnData("text", codes, null, pylist, bool(null.any()))
+    col.dictionary, col._code_of = dictionary, code_of
+    return col
+
+
 def _build_column(values: List[Any], dtype: DataType) -> ColumnData:
     """Convert one column's values (row order, NULL as ``None``)."""
     n = len(values)
+    if dtype is DataType.TEXT:
+        dictionary = [v for v in dict.fromkeys(values) if v is not None]
+        code_of = dict(zip(dictionary, range(len(dictionary))))
+        codes = np.fromiter(map(code_of.get, values, repeat(-1)), np.int32, n)
+        return _text_column(codes, values, dictionary, code_of)
     null = np.fromiter((v is None for v in values), dtype=np.bool_, count=n)
     has_null = bool(null.any())
     if dtype is DataType.INTEGER:
@@ -207,26 +234,6 @@ def _build_column(values: List[Any], dtype: DataType) -> ColumnData:
             (0 if v is None else v.toordinal() for v in values), dtype=np.int64, count=n
         )
         return ColumnData("date", arr, null, values, has_null)
-    if dtype is DataType.TEXT:
-        width = 1
-        for v in values:
-            if v is None:
-                continue
-            if len(v) > width:
-                width = len(v)
-            if width > _TEXT_WIDTH_LIMIT or "\x00" in v:
-                # NumPy 'U' arrays strip trailing NULs and wide columns
-                # blow the memory budget; keep such columns row-only.
-                return ColumnData("other", None, null, values, has_null)
-        if width * n > _TEXT_CHARS_LIMIT:
-            return ColumnData("other", None, null, values, has_null)
-        try:
-            arr = np.array(
-                ["" if v is None else v for v in values], dtype=f"U{width}"
-            )
-        except Exception:
-            return ColumnData("other", None, null, values, has_null)
-        return ColumnData("text", arr, null, values, has_null)
     return ColumnData("other", None, null, values, has_null)  # pragma: no cover
 
 
@@ -235,21 +242,33 @@ def _concat(head: ColumnData, tail: ColumnData) -> ColumnData:
     :func:`_build_column` returns for both value lists at once.
 
     The merge rule never revisits ``head``'s values: a part demoted to
-    ``other`` demotes the whole column, NumPy's concatenation widens a
-    ``U`` array to the wider part, NULL and NaN presence are ORs and the
-    integer bound a max.  Only the facts that also depend on the total row count
-    (the text character budget, ``int_sum_safe``) are recomputed.
+    ``other`` demotes the whole column, NULL and NaN presence are ORs and
+    the integer bound a max.  The tail's text codes are remapped
+    through ``head``'s map and its fresh values appended to a copy of the
+    dictionary (copied only when there are any, else the rank cache
+    carries over), so codes, dictionary and the entries' identity equal a
+    one-shot build.  Only ``int_sum_safe``, which also depends on the
+    total row count, is recomputed.
     """
-    null = np.concatenate((head.null, tail.null))
     pylist = head.pylist + tail.pylist
+    if head.kind == "text":
+        dictionary, code_of = head.dictionary, head._code_of
+        fresh = [v for v in tail.dictionary if v not in code_of]
+        if fresh:
+            code_of = dict(code_of)
+            code_of.update(zip(fresh, range(len(dictionary), len(dictionary) + len(fresh))))
+            dictionary = dictionary + fresh
+        remap = np.fromiter(map(code_of.get, [*tail.dictionary, None], repeat(-1)), np.int32)
+        codes = np.concatenate((head.values, remap[tail.values]))
+        col = _text_column(codes, pylist, dictionary, code_of)
+        col._ranks = None if fresh else head._ranks
+        return col
+    null = np.concatenate((head.null, tail.null))
     has_null = head.has_null or tail.has_null
     if "other" in (head.kind, tail.kind):
         return ColumnData("other", None, null, pylist, has_null)
-    values = np.concatenate((head.values, tail.values))
     n = len(pylist)
-    if head.kind == "text" and values.itemsize // 4 * n > _TEXT_CHARS_LIMIT:
-        return ColumnData("other", None, null, pylist, has_null)
-    col = ColumnData(head.kind, values, null, pylist, has_null)
+    col = ColumnData(head.kind, np.concatenate((head.values, tail.values)), null, pylist, has_null)
     col.has_nan = head.has_nan or tail.has_nan
     if col.kind == "int":
         col.abs_max = max(head.abs_max, tail.abs_max)
@@ -289,15 +308,6 @@ class ColumnStore:
             for j, (col, column) in enumerate(zip(self.cols, schema.columns))
         ]
         return ColumnStore(self.n_rows + len(tail), cols, self.column_names)
-
-    def nbytes(self) -> int:
-        """Total array bytes held (profiling surface)."""
-        total = 0
-        for col in self.cols:
-            if col.values is not None:
-                total += int(col.values.nbytes)
-            total += int(col.null.nbytes)
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +381,8 @@ class _FixedNonNull(_Kernel):
 
 
 class _Truthy(_Kernel):
-    """A bare column in boolean position — ``_bool3`` of the value."""
+    """A bare non-text column in boolean position — ``_bool3`` of the
+    value."""
 
     __slots__ = ("j",)
 
@@ -385,8 +396,7 @@ class _Truthy(_Kernel):
         elif col.kind == "bool":
             truth = col.values[lo:hi]
         else:
-            # NaN != 0 is True, matching bool(nan)
-            truth = col.values[lo:hi] != ("" if col.kind == "text" else 0)
+            truth = col.values[lo:hi] != 0  # NaN != 0 is True, matching bool(nan)
         return _masked(truth, col.nulls(lo, hi))
 
 
@@ -419,7 +429,7 @@ class _CmpColLit(_Kernel):
 
     ``domain`` selects the array view: ``num`` compares in float64 (the
     row path converts both sides with ``float()``), ``date`` compares
-    proleptic ordinals, ``text``/``bool`` compare natively.
+    proleptic ordinals, ``bool`` compares natively.
     """
 
     __slots__ = ("j", "op", "rhs", "domain")
@@ -441,50 +451,54 @@ class _CmpColLit(_Kernel):
 
 class _CmpColCol(_Kernel):
     """``col OP col`` within one comparable domain; NULL on either side
-    makes the comparison UNKNOWN."""
+    makes the comparison UNKNOWN.  Text columns compare ranks in the
+    sorted union of both dictionaries, computed once per pair of them."""
 
-    __slots__ = ("jl", "jr", "op", "domain")
+    __slots__ = ("jl", "jr", "op", "domain", "_ranks")
 
     def __init__(self, jl: int, jr: int, op: str, domain: str):
         self.jl = jl
         self.jr = jr
         self.op = op
         self.domain = domain
+        self._ranks: Any = None
 
     def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
         cl, cr = store.cols[self.jl], store.cols[self.jr]
         if self.domain == "num":
             lhs, rhs = cl.as_float()[lo:hi], cr.as_float()[lo:hi]
+        elif self.domain == "text":
+            key = (cl.dictionary, cr.dictionary)
+            if self._ranks is None or self._ranks[0] != key:
+                self._ranks = (key, _rank_codes(*key))
+            ranks = self._ranks[1]
+            lhs, rhs = ranks[0][cl.values[lo:hi]], ranks[1][cr.values[lo:hi]]
         else:
             lhs, rhs = cl.values[lo:hi], cr.values[lo:hi]
         truth = _CMP_FUNCS[self.op](lhs, rhs)
         return _masked(truth, _nulls(store, (self.jl, self.jr), lo, hi))
 
 
-class _LikePred(_Kernel):
-    """``text_col LIKE 'pattern'`` via the shared
-    :func:`~repro.sqldb.types.like_to_regex`.
+class _ValuePred(_Kernel):
+    """A text-column predicate: ``test``, the row path's own rule for a
+    non-NULL value, runs once per dictionary (entry), and the verdicts
+    are gathered by code.  NULL's -1 code gathers the trailing ``False``;
+    NULL rows are UNKNOWN."""
 
-    Evaluated over the original Python strings (regex semantics exactly
-    match the per-row interpreter); this is the one kernel that loops in
-    Python.
-    """
+    __slots__ = ("j", "test", "_verdicts")
 
-    __slots__ = ("j", "pattern")
-
-    def __init__(self, j: int, pattern: str):
+    def __init__(self, j: int, test: Callable[[str], bool]):
         self.j = j
-        self.pattern = pattern
+        self.test = test
+        self._verdicts: Any = None
 
     def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
-        match = like_to_regex(self.pattern).match
         col = store.cols[self.j]
-        truth = np.fromiter(
-            (v is not None and match(v) is not None for v in col.pylist[lo:hi]),
-            dtype=np.bool_,
-            count=hi - lo,
-        )
-        return truth, col.nulls(lo, hi)
+        verdicts = self._verdicts
+        if verdicts is None or verdicts[0] is not col.dictionary:
+            truth = np.fromiter(chain(map(self.test, col.dictionary), [False]), np.bool_)
+            verdicts = self._verdicts = (col.dictionary, truth)
+        return verdicts[1][col.values[lo:hi]], col.nulls(lo, hi)
 
 
 class _NotPred(_Kernel):
@@ -598,7 +612,10 @@ class _WhereCompiler:
         if isinstance(expr, Literal):
             return _Const(None if expr.value is None else bool(expr.value))
         if isinstance(expr, ColumnRef):
-            return _Truthy(self._value_col(expr))
+            j = self._value_col(expr)
+            if self.store.cols[j].kind == "text":
+                return _ValuePred(j, bool)
+            return _Truthy(j)
         if isinstance(expr, UnaryOp):
             if expr.op.upper() == "NOT":
                 return _NotPred(self._expr(expr.operand))
@@ -623,8 +640,8 @@ class _WhereCompiler:
                 return _Const((not is_null) if expr.negated else is_null)
             raise _Unsupported("IS NULL over a computed expression")
         if isinstance(expr, Between):
-            low = self._cmp_exprs(">=", expr.operand, expr.low)
-            high = self._cmp_exprs("<=", expr.operand, expr.high)
+            low = self._cmp(">=", expr.operand, expr.low)
+            high = self._cmp("<=", expr.operand, expr.high)
             node: _Kernel = _AndPred(low, high)
             return _NotPred(node) if expr.negated else node
         if isinstance(expr, InList):
@@ -632,9 +649,6 @@ class _WhereCompiler:
         if isinstance(expr, CaseExpr):
             raise _Unsupported("CASE expression in WHERE")
         raise _Unsupported(f"{type(expr).__name__} in WHERE")
-
-    def _cmp_exprs(self, op: str, left: Expr, right: Expr) -> _Kernel:
-        return self._cmp(op, left, right)
 
     def _cmp(self, op: str, left: Expr, right: Expr) -> _Kernel:
         if isinstance(left, ColumnRef) and isinstance(right, Literal):
@@ -653,6 +667,8 @@ class _WhereCompiler:
         kind = col.kind
         if lit is None:
             return _Const(None)
+        if kind == "text":
+            return _ValuePred(j, lambda v: compare3(op, v, lit) is True)
         mismatch = op == "!="
         if isinstance(lit, bool):
             if kind == "bool":
@@ -676,23 +692,10 @@ class _WhereCompiler:
                 return _CmpColLit(j, op, rhs, "num")
             return _FixedNonNull((j,), mismatch)
         if isinstance(lit, str):
-            if kind == "text":
-                if "\x00" in lit:
-                    raise _Unsupported("NUL byte in text literal")
-                return _CmpColLit(j, op, lit, "text")
-            if kind == "date":
-                coerced = iso_date_or_none(lit)
-                if coerced is not None:
-                    return _CmpColLit(j, op, coerced.toordinal(), "date")
-                return _FixedNonNull((j,), mismatch)
-            return _FixedNonNull((j,), mismatch)
-        if isinstance(lit, datetime.date):
-            if kind == "date":
-                return _CmpColLit(j, op, lit.toordinal(), "date")
-            if kind == "text":
-                # values_equal would try to parse each string cell as a
-                # date — per-row behaviour the kernels don't model.
-                raise _Unsupported("DATE literal against TEXT column")
+            lit = iso_date_or_none(lit) or lit  # ISO-date text meets a DATE as a date
+        if isinstance(lit, datetime.date) and kind == "date":
+            return _CmpColLit(j, op, lit.toordinal(), "date")
+        if isinstance(lit, (str, datetime.date)):
             return _FixedNonNull((j,), mismatch)
         raise _Unsupported(f"literal {lit!r} in comparison")
 
@@ -719,7 +722,8 @@ class _WhereCompiler:
         ):
             j = _local_col(left, self.schema, self.binding)
             if self.store.cols[j].kind == "text":
-                return _LikePred(j, right.value)
+                match = like_to_regex(right.value).match
+                return _ValuePred(j, lambda v: match(v) is not None)
             # Non-text columns raise LikeTypeError per row (but only for
             # rows actually reached) — row-path territory.
         raise _Unsupported("LIKE outside text-column-vs-pattern form")
@@ -732,16 +736,18 @@ class _WhereCompiler:
                 raise _Unsupported("non-literal IN list item")
         j = self._value_col(expr.operand)
         saw_null = any(item.value is None for item in expr.items)
+        values = [item.value for item in expr.items if item.value is not None]
         node: Optional[_Kernel] = None
-        for item in expr.items:
-            if item.value is None:
-                continue
-            eq = self._col_lit("=", expr.operand, item.value)
-            node = eq if node is None else _OrPred(node, eq)
-        if node is None:
-            # No non-NULL items: never a hit, so the verdict is UNKNOWN
-            # for a NULL probe (or when the list held a NULL), else FALSE.
-            node = _FixedNonNull((j,), False)
+        if self.store.cols[j].kind == "text":
+            node = _ValuePred(j, lambda v: any(values_equal(v, item) for item in values))
+        else:
+            for value in values:
+                eq = self._col_lit("=", expr.operand, value)
+                node = eq if node is None else _OrPred(node, eq)
+            if node is None:
+                # No non-NULL items: never a hit, so the verdict is UNKNOWN
+                # for a NULL probe (or when the list held a NULL), else FALSE.
+                node = _FixedNonNull((j,), False)
         if saw_null:
             node = _OrPred(node, _Const(None))
         return _NotPred(node) if expr.negated else node
@@ -792,12 +798,13 @@ class _CompiledQuery:
 
 class _GroupCtx(_Group):
     """One group of the vectorized path: its ascending row indices into
-    the store.  An aggregate over a local column runs on the arrays; any
-    other aggregate argument is evaluated over member scopes, built on
-    first use.  The representative scope is the first member's row, or
-    the all-NULL row for the one empty group."""
+    the store.  An aggregate over a local column runs on the arrays,
+    which are gathered once per column and group; any other aggregate
+    argument is evaluated over member scopes, built on first use.  The
+    representative scope is the first member's row, or the all-NULL row
+    for the one empty group."""
 
-    __slots__ = ("binding", "store", "schema", "rows_list", "gidx", "parent")
+    __slots__ = ("binding", "store", "schema", "rows_list", "gidx", "parent", "_present")
 
     def __init__(
         self,
@@ -816,6 +823,7 @@ class _GroupCtx(_Group):
         self.rows_list = rows_list
         self.gidx = gidx
         self.parent = parent
+        self._present: Dict[int, Tuple[Any, Any]] = {}
 
     def _scope(self, row: tuple) -> _Scope:
         return _Scope([(self.binding, self.schema, row)], self.parent)
@@ -846,6 +854,18 @@ class _GroupCtx(_Group):
             self.members = [self._scope(self.rows_list[i]) for i in self.gidx.tolist()]
         return super().aggregate(executor, call, func)
 
+    def _present_values(self, j: int) -> Tuple[Any, Any]:
+        """Column ``j``'s non-NULL member rows and its array values there,
+        gathered on first use."""
+        got = self._present.get(j)
+        if got is None:
+            col = self.store.cols[j]
+            gidx = self.gidx
+            nn_idx = gidx[~col.null[gidx]] if col.has_null else gidx
+            values = None if col.values is None else col.values[nn_idx]
+            got = self._present[j] = (nn_idx, values)
+        return got
+
     def _fast_aggregate(self, name: str, distinct: bool, j: int) -> Any:
         """Vectorized aggregate when provably exact, else ``_NO_FAST``.
 
@@ -854,40 +874,35 @@ class _GroupCtx(_Group):
         ``sum()`` in the last bits.
         """
         col = self.store.cols[j]
-        gidx = self.gidx
         if name == "count" and not distinct:
-            if gidx.size == 0:
-                return 0
-            return int(gidx.size) - int(np.count_nonzero(col.null[gidx]))
+            return int(self._present_values(j)[0].size)
         if distinct:
             return _NO_FAST
         if name in ("sum", "avg"):
             if col.kind != "int" or not col.int_sum_safe:
                 return _NO_FAST
-            if gidx.size == 0:
+            nn_idx, values = self._present_values(j)
+            if nn_idx.size == 0:
                 return None
-            present = int(gidx.size) - int(np.count_nonzero(col.null[gidx]))
-            if present == 0:
-                return None
-            # NULL slots hold 0, so the slice sum equals the non-NULL sum;
             # int_sum_safe bounds |subset sum| within int64.
-            total = int(col.values[gidx].sum())
+            total = int(values.sum())
             if name == "sum":
                 return total
-            return total / present
+            return total / int(nn_idx.size)
         if name in ("min", "max"):
-            if col.kind in ("int", "bool", "date", "text") or (
-                col.kind == "float" and not col.has_nan
-            ):
-                nn_idx = gidx[~col.null[gidx]] if gidx.size else gidx
-                if nn_idx.size == 0:
-                    return None
-                sub = col.values[nn_idx]
-                pos = int(np.argmin(sub) if name == "min" else np.argmax(sub))
-                # argmin/argmax return the first extreme position, same as
-                # Python's min/max; the original object is returned.
-                return col.pylist[int(nn_idx[pos])]
-            return _NO_FAST
+            if col.kind == "other" or (col.kind == "float" and col.has_nan):
+                return _NO_FAST
+            nn_idx, values = self._present_values(j)
+            if nn_idx.size == 0:
+                return None
+            if col.kind == "text":
+                if col._ranks is None:
+                    col._ranks = _rank_codes(col.dictionary)[0]
+                values = col._ranks[values]
+            pos = int(np.argmin(values) if name == "min" else np.argmax(values))
+            # argmin/argmax return the first extreme position, same as
+            # Python's min/max; the original object is returned.
+            return col.pylist[int(nn_idx[pos])]
         return _NO_FAST
 
 
@@ -980,7 +995,7 @@ class ColumnarEngine:
         db = self._ex.database
         if db.data_version != self._cache_version:
             # Data changes can flip data-dependent eligibility (NaN
-            # presence, integer sum bounds, text widths).
+            # presence, integer sum bounds, an INTEGER past int64).
             self._cache.clear()
             self._cache_version = db.data_version
         entry = self._cache.get(id(stmt))
@@ -1155,51 +1170,33 @@ class ColumnarEngine:
         # never-equal-to-itself identity buckets).
         pylists = [store.cols[j].pylist for j in js]
         groups: Dict[tuple, List[int]] = {}
-        order: List[tuple] = []
-        if len(pylists) == 1:
-            values = pylists[0]
-            for i in idx.tolist():
-                key = (values[i],)
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = bucket = []
-                    order.append(key)
-                bucket.append(i)
-        else:
-            for i in idx.tolist():
-                key = tuple(values[i] for values in pylists)
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = bucket = []
-                    order.append(key)
-                bucket.append(i)
-        return [
-            np.fromiter(groups[key], dtype=np.int64, count=len(groups[key]))
-            for key in order
-        ]
+        for i in idx.tolist():
+            groups.setdefault(tuple(values[i] for values in pylists), []).append(i)
+        return [np.array(members, dtype=np.int64) for members in groups.values()]
 
     def _group_single_fast(self, col: ColumnData, idx: Any) -> List[Any]:
-        """Single-key grouping via ``np.unique`` on the key array; NULLs
-        form their own group.  Groups come back ordered by first
-        occurrence and members stay in ascending row order, matching the
-        dict path bit for bit."""
-        null_sel = col.null[idx]
-        nn_idx = idx[~null_sel]
-        entries: List[Tuple[int, Any]] = []
-        if nn_idx.size:
-            vals = col.values[nn_idx]
-            uniq, first, inverse = np.unique(
-                vals, return_index=True, return_inverse=True
-            )
-            order_sort = np.argsort(inverse, kind="stable")
-            counts = np.bincount(inverse, minlength=len(uniq))
-            bounds = np.concatenate(([0], np.cumsum(counts)))
-            sorted_idx = nn_idx[order_sort]
-            for g in range(len(uniq)):
-                member_idx = sorted_idx[bounds[g] : bounds[g + 1]]
-                entries.append((int(nn_idx[first[g]]), member_idx))
-        null_idx = idx[null_sel]
+        """Single-key grouping: one stable argsort of the key array, cut
+        where the key changes.  NULLs form their own group: a text
+        column's NULL code -1 is a key of its own, other kinds hold a fill
+        value there, so their NULL rows are split off first.  Groups come
+        back ordered by first member and members stay in ascending row
+        order, matching the dict path bit for bit."""
+        keys = col.values[idx]
+        null_idx = idx[:0]
+        if col.kind == "text":
+            if len(col.dictionary) < 2**15:
+                keys = keys.astype(np.int16)  # NumPy radix-sorts 16-bit keys
+        elif col.has_null:
+            null_sel = col.null[idx]
+            null_idx = idx[null_sel]
+            idx, keys = idx[~null_sel], keys[~null_sel]
+        order = np.argsort(keys, kind="stable")
+        members = idx[order]
+        keys = keys[order]
+        cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        groups = np.split(members, cuts) if members.size else []
+        firsts = members[np.concatenate(([0], cuts))] if members.size else members
         if null_idx.size:
-            entries.append((int(null_idx[0]), null_idx))
-        entries.sort(key=lambda entry: entry[0])
-        return [member_idx for _, member_idx in entries]
+            groups.append(null_idx)
+            firsts = np.append(firsts, null_idx[0])
+        return [groups[g] for g in np.argsort(firsts).tolist()]

@@ -371,18 +371,29 @@ class TestColumnStore:
         assert not by_name["i"].null.any()
         assert by_name["f"].null.tolist() == [False, True]
 
-    def test_nul_byte_text_demoted(self):
+    def test_nul_byte_text_vectorizes(self):
         db = Database("nul")
         db.create_table(
             TableSchema("t", [Column("i", DataType.INTEGER, primary_key=True),
                               Column("s", DataType.TEXT)])
         )
-        # numpy 'U' arrays silently strip trailing NUL characters, which
-        # would corrupt round-trips — such columns must not vectorize.
-        db.insert_many("t", [[1, "a\x00b"], [2, "plain"]])
+        db.insert_many("t", [[1, "a\x00b"], [2, "plain"], [3, "tail\x00"], [4, None]])
         store = db.table("t").column_store()
         by_name = dict(zip(store.column_names, store.cols))
-        assert by_name["s"].kind == "other"
+        assert by_name["s"].kind == "text"
+        ex = Executor(db)
+        assert ex.execute_sql("SELECT s FROM t").rows == [
+            ("a\x00b",), ("plain",), ("tail\x00",), (None,)
+        ]
+        # (A lone ``s = ...`` would take the index scan.)
+        for sql in (
+            "SELECT i FROM t WHERE s = 'tail\x00' OR s = 'a\x00b'",
+            "SELECT i FROM t WHERE s > 'a\x00b'",
+            "SELECT i, s FROM t WHERE s LIKE 'a_b' OR s LIKE '%\x00'",
+        ):
+            ex.execute_sql(sql)
+            assert ex.last_stats.vectorized == 1, sql
+            assert_three_paths_agree(db, sql)
 
     def test_arrays_are_read_only(self):
         store = self._db().table("t").column_store()
@@ -497,7 +508,6 @@ GOLDEN_FALLBACKS = [
     ("SELECT v FROM t WHERE v + 1 IS NULL", "IS NULL over a computed expression"),
     ("SELECT v FROM t WHERE v + 1 > 5", "comparison over computed expressions"),
     ("SELECT v FROM t WHERE v > " + "9" * 400, "integer literal beyond float range"),
-    ("SELECT v FROM t WHERE s > 'a\x00b'", "NUL byte in text literal"),
     ("SELECT v FROM t WHERE f > 1", "ordering comparison on NaN-containing column 'f'"),
     ("SELECT v FROM t WHERE s > d", "DATE/TEXT column comparison needs per-row coercion"),
     ("SELECT v FROM t WHERE v LIKE 'a%'", "LIKE outside text-column-vs-pattern form"),
@@ -576,6 +586,14 @@ class TestGoldenFallbackReasons:
         db = self._db()
         assert_three_paths_agree(db, sql)
 
+    def test_nul_byte_literal_vectorizes(self):
+        """A text literal holding NUL, once a fallback, runs on the
+        dictionary kernels."""
+        db = self._db()
+        sql = "SELECT v FROM t WHERE s > 'a\x00b'"
+        assert "columnar: vectorized scan+filter+project" in db.explain_sql(sql)
+        assert_three_paths_agree(db, sql)
+
 
 # ---------------------------------------------------------------------------
 # Bulk insert
@@ -652,8 +670,13 @@ def assert_structures_match_one_shot(table):
         if want.values is None:
             assert got.values is None, column.name
         else:
-            assert got.values.dtype == want.values.dtype, column.name  # incl. U width
+            assert got.values.dtype == want.values.dtype, column.name
             assert got.values.tobytes() == want.values.tobytes(), column.name
+        if want.dictionary is None:
+            assert got.dictionary is None, column.name
+        else:
+            assert len(got.dictionary) == len(want.dictionary), column.name
+            assert all(a is b for a, b in zip(got.dictionary, want.dictionary)), column.name
         assert got.null.dtype == want.null.dtype
         assert got.null.tolist() == want.null.tolist(), column.name
         assert len(got.pylist) == len(want.pylist)
@@ -744,32 +767,28 @@ _ext_step = st.tuples(_ext_write, st.sampled_from(["none", "store", "index", "bo
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(steps=st.lists(_ext_step, max_size=16), chars_limit=st.sampled_from([None, 6]))
-def test_extension_matches_one_shot_build(steps, chars_limit):
+@given(steps=st.lists(_ext_step, max_size=16))
+def test_extension_matches_one_shot_build(steps):
     """Any sequence of inserts, bulk inserts, empty and rejected batches,
     with the structures extended at random points in between, leaves
-    them equal to a one-shot build.  ``chars_limit`` shrinks the text
-    character budget so a text column can outgrow it part-way through."""
-    with pytest.MonkeyPatch.context() as patch:
-        if chars_limit is not None:
-            patch.setattr(columnar, "_TEXT_CHARS_LIMIT", chars_limit)
-        table = _ext_table()
-        for (kind, arg), extend in steps:
-            if kind == "insert":
-                table.insert(arg)
-            elif kind == "insert_many":
-                assert table.insert_many(arg) == len(arg)
-            else:
-                before, version = list(table.rows), table.version
-                with pytest.raises(SqlError):
-                    table.insert_many(arg[0] + [_BAD_ROW] + arg[1])
-                assert table.rows == before and table.version == version
-            if extend in ("store", "both"):
-                table.column_store()
-            if extend in ("index", "both"):
-                for column in table.schema.column_names:
-                    table.secondary_index(column)
-        assert_structures_match_one_shot(table)
+    them equal to a one-shot build."""
+    table = _ext_table()
+    for (kind, arg), extend in steps:
+        if kind == "insert":
+            table.insert(arg)
+        elif kind == "insert_many":
+            assert table.insert_many(arg) == len(arg)
+        else:
+            before, version = list(table.rows), table.version
+            with pytest.raises(SqlError):
+                table.insert_many(arg[0] + [_BAD_ROW] + arg[1])
+            assert table.rows == before and table.version == version
+        if extend in ("store", "both"):
+            table.column_store()
+        if extend in ("index", "both"):
+            for column in table.schema.column_names:
+                table.secondary_index(column)
+    assert_structures_match_one_shot(table)
 
 
 def test_extension_covers_edge_values():
@@ -796,30 +815,35 @@ def test_extension_covers_edge_values():
         table.insert(row)
         assert_structures_match_one_shot(table)
     cols = _store_columns(table)
-    assert cols["big"].kind == "other" and cols["s"].kind == "other"
+    assert cols["big"].kind == "other" and cols["s"].kind == "text"
     assert cols["f"].has_nan
     assert cols["nothing"].null.all() and cols["blank"].null.all()
 
 
-def test_text_width_widens_with_later_rows():
-    table = _ext_table()
-    table.insert((1, None, None, "ab", None, None, None, None))
-    assert _store_columns(table)["s"].values.dtype == "U2"
-    table.insert_many([(2, None, None, None, None, None, None, None)])
-    table.insert_many([(3, None, None, "abcdefg", None, None, None, None)])
-    assert _store_columns(table)["s"].values.dtype == "U7"
-    assert_structures_match_one_shot(table)
+def test_dictionary_extends_in_first_seen_order():
+    """Appends (an all-NULL batch, repeated and fresh values) extend the
+    text dictionary in first-seen order, equal to a one-shot build, and
+    leave an earlier store's dictionary untouched."""
 
+    def row(i, s):
+        return (i, None, None, s, None, None, None, None)
 
-def test_text_budget_counts_all_rows(monkeypatch):
-    """Each part fits the character budget on its own; together they
-    exceed it, so the merged column demotes like a one-shot build."""
-    monkeypatch.setattr(columnar, "_TEXT_CHARS_LIMIT", 6)
     table = _ext_table()
-    table.insert_many([(i, None, None, "abc", None, None, None, None) for i in range(2)])
-    assert _store_columns(table)["s"].kind == "text"
-    table.insert((2, None, None, "abc", None, None, None, None))
-    assert _store_columns(table)["s"].kind == "other"
+    table.insert_many([row(0, "b"), row(1, "a"), row(2, "b")])
+    first = _store_columns(table)["s"]
+    assert first.dictionary == ["b", "a"]
+    assert first.values.tolist() == [0, 1, 0]
+    table.insert_many([row(3, None), row(4, None)])
+    same = _store_columns(table)["s"]
+    assert same.dictionary is first.dictionary
+    assert same.values.tolist() == [0, 1, 0, -1, -1]
+    table.insert_many([row(5, "c"), row(6, "a"), row(7, None), row(8, "d" * 70)])
+    cols = _store_columns(table)
+    assert cols["s"].dictionary == ["b", "a", "c", "d" * 70]
+    assert cols["s"].values.tolist() == [0, 1, 0, -1, -1, 2, 1, -1, 3]
+    assert first.dictionary == ["b", "a"]
+    assert first.values.tolist() == [0, 1, 0]
+    assert cols["blank"].dictionary == [] and cols["blank"].null.all()
     assert_structures_match_one_shot(table)
 
 

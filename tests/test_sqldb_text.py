@@ -10,8 +10,9 @@
    ``É``/``é`` or the Kelvin sign, ISO-date-shaped strings, and about a
    quarter NULLs.  Random batches are appended between statements, so
    the column stores extend with fresh and repeated values.  Every
-   statement must agree on the three paths, and with sqlite3 except
-   where a difference is deliberate:
+   statement must agree on the three paths and run on the vectorized
+   kernels (unless the planner answers it from an index), and agree
+   with sqlite3 except where a difference is deliberate:
 
    - a text column against a numeric literal is a comparison across
      type families, which is false here (sqlite3 converts the number to
@@ -260,6 +261,10 @@ def _check(db, oracle, paths, sql, ordered, oracle_ok):
         got = planned.execute_sql(sql)
         assert got.columns == expected.columns, sql
         assert _tagged(got.rows) == _tagged(expected.rows), sql
+    # Every statement runs on the vectorized kernels, unless the planner
+    # answers it from a secondary index.
+    reason = col._columnar_engine().last_fallback
+    assert col.last_stats.vectorized == 1 or reason == "index scan preferred", (sql, reason)
     holds_nul = any(
         value is not None and "\x00" in value
         for record in db.table("t").rows
