@@ -155,7 +155,7 @@ class ColumnData:
         #: largest ``|value|`` of an ``int`` column (NULL fills count as 0)
         self.abs_max = 0
         self.int_sum_safe = False
-        self.dictionary: Optional[List[str]] = None
+        self.dictionary: List[str] = []
         self._code_of: Dict[str, int] = {}
         self._float_view: Any = None
         self._ranks: Any = None
@@ -183,7 +183,7 @@ def _rank_codes(*dictionaries: List[str]) -> List[Any]:
     does), then a 0 slot for NULL's -1 code."""
     union = sorted(set().union(*dictionaries))
     rank = dict(zip(union, range(len(union))))
-    return [np.fromiter(map(rank.get, [*d, None], repeat(0)), np.int64) for d in dictionaries]
+    return [np.fromiter(chain(map(rank.__getitem__, d), [0]), np.int64) for d in dictionaries]
 
 
 def _text_column(
@@ -258,7 +258,7 @@ def _concat(head: ColumnData, tail: ColumnData) -> ColumnData:
             code_of = dict(code_of)
             code_of.update(zip(fresh, range(len(dictionary), len(dictionary) + len(fresh))))
             dictionary = dictionary + fresh
-        remap = np.fromiter(map(code_of.get, [*tail.dictionary, None], repeat(-1)), np.int32)
+        remap = np.fromiter(chain(map(code_of.__getitem__, tail.dictionary), [-1]), np.int32)
         codes = np.concatenate((head.values, remap[tail.values]))
         col = _text_column(codes, pylist, dictionary, code_of)
         col._ranks = None if fresh else head._ranks

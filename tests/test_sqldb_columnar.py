@@ -672,11 +672,8 @@ def assert_structures_match_one_shot(table):
         else:
             assert got.values.dtype == want.values.dtype, column.name
             assert got.values.tobytes() == want.values.tobytes(), column.name
-        if want.dictionary is None:
-            assert got.dictionary is None, column.name
-        else:
-            assert len(got.dictionary) == len(want.dictionary), column.name
-            assert all(a is b for a, b in zip(got.dictionary, want.dictionary)), column.name
+        assert len(got.dictionary) == len(want.dictionary), column.name
+        assert all(a is b for a, b in zip(got.dictionary, want.dictionary)), column.name
         assert got.null.dtype == want.null.dtype
         assert got.null.tolist() == want.null.tolist(), column.name
         assert len(got.pylist) == len(want.pylist)
