@@ -481,9 +481,9 @@ class _CmpColCol(_Kernel):
 
 class _ValuePred(_Kernel):
     """A text-column predicate: ``test``, the row path's own rule for a
-    non-NULL value, runs once per dictionary (entry), and the verdicts
-    are gathered by code.  NULL's -1 code gathers the trailing ``False``;
-    NULL rows are UNKNOWN."""
+    non-NULL value, runs once per dictionary entry and scan, and the
+    verdicts are gathered by code.  NULL's -1 code gathers the trailing
+    ``False``; NULL rows are UNKNOWN."""
 
     __slots__ = ("j", "test", "_verdicts")
 
@@ -495,7 +495,9 @@ class _ValuePred(_Kernel):
     def eval(self, store: ColumnStore, lo: int, hi: int) -> Mask:
         col = store.cols[self.j]
         verdicts = self._verdicts
-        if verdicts is None or verdicts[0] is not col.dictionary:
+        # A scan's first step computes the verdicts and its later steps
+        # reuse them, so no verdict outlives the scan that computed it.
+        if lo == 0 or verdicts is None or verdicts[0] is not col.dictionary:
             truth = np.fromiter(chain(map(self.test, col.dictionary), [False]), np.bool_)
             verdicts = self._verdicts = (col.dictionary, truth)
         return verdicts[1][col.values[lo:hi]], col.nulls(lo, hi)
