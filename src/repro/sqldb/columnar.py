@@ -22,9 +22,8 @@ Design rules, in priority order:
      :func:`~repro.sqldb.types.values_compare` (numeric comparisons run
      in the same float64 domain the row path converts to; implicit
      ISO-date coercion is resolved once per literal at compile time),
-     or runs the row path's own per-value rule: a text column is stored
-     as dictionary codes, so each text predicate evaluates once per
-     distinct value and its verdicts are gathered by code;
+     or run the row path's own rule once per distinct value of a
+     dictionary-encoded text column and gather the verdicts by code;
    - all *output* values (projections, MIN/MAX results, list-path
      aggregate inputs, GROUP BY dict keys) are taken from the original
      row tuples, never round-tripped through NumPy, so object identity
@@ -801,10 +800,9 @@ class _CompiledQuery:
 class _GroupCtx(_Group):
     """One group of the vectorized path: its ascending row indices into
     the store.  An aggregate over a local column runs on the arrays,
-    which are gathered once per column and group; any other aggregate
-    argument is evaluated over member scopes, built on first use.  The
-    representative scope is the first member's row, or the all-NULL row
-    for the one empty group."""
+    gathered once per column; any other aggregate argument is evaluated
+    over member scopes, built on first use.  The representative scope is
+    the first member's row, or the all-NULL row for the one empty group."""
 
     __slots__ = ("binding", "store", "schema", "rows_list", "gidx", "parent", "_present")
 
@@ -859,14 +857,11 @@ class _GroupCtx(_Group):
     def _present_values(self, j: int) -> Tuple[Any, Any]:
         """Column ``j``'s non-NULL member rows and its array values there,
         gathered on first use."""
-        got = self._present.get(j)
-        if got is None:
-            col = self.store.cols[j]
-            gidx = self.gidx
+        if j not in self._present:
+            col, gidx = self.store.cols[j], self.gidx
             nn_idx = gidx[~col.null[gidx]] if col.has_null else gidx
-            values = None if col.values is None else col.values[nn_idx]
-            got = self._present[j] = (nn_idx, values)
-        return got
+            self._present[j] = (nn_idx, None if col.values is None else col.values[nn_idx])
+        return self._present[j]
 
     def _fast_aggregate(self, name: str, distinct: bool, j: int) -> Any:
         """Vectorized aggregate when provably exact, else ``_NO_FAST``.
