@@ -498,9 +498,9 @@ class TestObservability:
 
 #: (sql, verbatim reason) — one query per `_Unsupported` message the
 #: compiler can emit for SQL text.  The remaining raise sites need
-#: programmatic ASTs or non-SQL values (NaN literal, DATE object against
-#: a TEXT column, stores without vectorizable storage) and are covered
-#: implicitly by the differential corpora.
+#: programmatic ASTs or non-SQL values (NaN literal, stores without
+#: vectorizable storage) and are covered implicitly by the differential
+#: corpora.
 GOLDEN_FALLBACKS = [
     ("SELECT v FROM t WHERE u.w > 3", "column 'u.w' is outside the scanned table"),
     ("SELECT v FROM t WHERE nosuch > 1", "column 'nosuch' does not resolve locally"),
