@@ -30,17 +30,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.sqldb import Column, Database, DataType, SqlError, TableSchema
+from repro.sqldb import Column, Database, DataType, TableSchema
 from repro.sqldb import columnar
-from repro.sqldb.executor import Executor
 
-
-def _paths(db):
-    return (
-        Executor(db, use_planner=False),
-        Executor(db, use_planner=True, use_columnar=False),
-        Executor(db, use_planner=True, use_columnar=True),
-    )
+from tests.test_sqldb_dialect import _paths
 
 
 def _tagged(rows):
@@ -250,13 +243,7 @@ def test_generated_text_statements_match(steps):
 
 def _check(db, oracle, paths, sql, ordered, oracle_ok):
     naive, row, col = paths
-    try:
-        expected = naive.execute_sql(sql)
-    except SqlError as exc:  # pragma: no cover - the generator emits valid SQL
-        for planned in (row, col):
-            with pytest.raises(type(exc)):
-                planned.execute_sql(sql)
-        return
+    expected = naive.execute_sql(sql)
     for planned in (row, col):
         got = planned.execute_sql(sql)
         assert got.columns == expected.columns, sql
